@@ -9,9 +9,8 @@ and by the compound asymptotic expansion whose exponentially small levels are
 retained, with two independent engines for the expansion coefficients.
 """
 
-from .asym import (AsymSeriesSpec, Kind, compound_eval, dominant_series, exp_small_optimal,
-                   intermediate_series_n5, optimal_truncation_index, residual_F,
-                   subdominant_optimal, subdominant_series)
+from .asym import (compound_eval, dominant_series, exp_small_optimal, intermediate_series_n5,
+                   optimal_truncation_index, residual_F, subdominant_series)
 from .coeffs import (CoeffTable, bernoulli_number, closed_form_c123, general_c1,
                      riney_coeffs, stirling_matching_coeffs)
 from .errors import (ArityMismatch, CancellationFailure, CoeffShortfall, DomainError,
@@ -28,9 +27,9 @@ from .verify import (TableReport, TableRow, reproduce_all, reproduce_table1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityMismatch", "AsymSeriesSpec", "CancellationFailure", "ClosedFormCase",
+    "ArityMismatch", "CancellationFailure", "ClosedFormCase",
     "CoeffShortfall", "CoeffTable", "DomainError", "EvalResult", "ExpansionParams",
-    "HyperBesselError", "Kind", "NoMinimumDetected", "OrderUnsupported",
+    "HyperBesselError", "NoMinimumDetected", "OrderUnsupported",
     "PoleParameter", "PowerSeries1OverS", "PrecisionInsufficient",
     "SeriesLengthInsufficient", "SingularRineyWeights", "TableReport", "TableRow",
     "TailNotConverged", "bernoulli_number", "closed_form_c123", "closed_form_eval",
@@ -38,5 +37,5 @@ __all__ = [
     "general_c1", "humbert_J", "humbert_identity_check", "intermediate_series_n5",
     "optimal_truncation_index", "reproduce_all", "reproduce_table1", "reproduce_table2",
     "reproduce_table3", "reproduce_table4", "residual_F", "riney_coeffs", "series_eval",
-    "stirling_matching_coeffs", "subdominant_optimal", "subdominant_series",
+    "stirling_matching_coeffs", "subdominant_series",
 ]

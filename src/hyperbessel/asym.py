@@ -1,60 +1,53 @@
 """Compound asymptotic expansions: dominant, intermediate (n = 5) and subdominant levels.
 
-For x -> +infinity the recombined real expansions are, per exponential level,
+For x -> +infinity every exponential level of F_n is one formula,
 
-  dominant (all n):
-      2 A0 x^theta e^(x cos(pi/n)) sum_j c_j x^(-j) cos(x sin(pi/n) + pi(theta-j)/n)
+    2 A0 x^theta e^(x cos(k pi/n)) Re[ w e^(i x sin(k pi/n)) sum_j c_j (e^(-i k pi/n)/x)^j ],
 
-  subdominant:
-      n=3:  2 A0 cos(pi(a-b)) x^theta e^(-x) sum_j (-)^j c_j x^(-j)
-      n=4: -2 A0 x^theta e^(x cos(3pi/4)) sum_j c_j x^(-j)
-               { cos(phi_j) sum_r cos(2 pi b_r) - sin(phi_j) sum_r sin(2 pi b_r) },
-           phi_j = x sin(3pi/4) + 3 pi (theta-j)/4
-      n=5:  2 A0 [sum_{r<=3} cos(pi(theta + 2 b_r + 2 b_4))] x^theta e^(-x)
-               sum_j (-)^j c_j x^(-j)
+which differs between levels only in the angle k and the complex start
+weight w:
 
-  intermediate (n = 5 only):
-      -2 A0 x^theta e^(x cos(3pi/5)) sum_j c_j x^(-j)
-               { cos(phi_j) sum_r cos(2 pi b_r) - sin(phi_j) sum_r sin(2 pi b_r) },
-      phi_j = x sin(3pi/5) + 3 pi (theta-j)/5.
+    n   level          k   w
+    all dominant       1   e^(i pi theta/n)
+    3   subdominant    3   cos(pi(a-b))
+    4   subdominant    3   -e^(3 i pi theta/4) sum_r e^(2 pi i b_r)
+    5   intermediate   3   -e^(3 i pi theta/5) sum_r e^(2 pi i b_r)
+    5   subdominant    5   sum_{r<=3} cos(pi(theta + 2 b_r + 2 b_4))
+
+The k = n levels sit at e^(-x): there e^(-i k pi/n) is exactly -1, so their
+sums alternate and vanish exactly when w does (half-integer a-b for n = 3).
 
 Optimal truncation cuts each sum at the least magnitude |c_j| x^(-j) over the
-available coefficient table (oscillatory cosine factors excluded from the
+available coefficient table (the weight and phase are excluded from the
 magnitude, so all levels share one index).
 """
 
-import enum
-from dataclasses import dataclass
 from math import ceil
 
 from mpmath import mp
 
-from .coeffs import CoeffTable, stirling_matching_coeffs
+from .coeffs import stirling_matching_coeffs
 from .errors import CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported
-from .params import ExpansionParams
 from .precision import check_dps, to_mpf
 from .reference import METHOD_ASYMPTOTIC, METHOD_COMPOUND, EvalResult, series_eval
 
+#: the levels of each order with their angle k: the level sits at e^(x cos(k pi/n))
+_ANGLES = {
+    3: {"dominant": 1, "subdominant": 3},
+    4: {"dominant": 1, "subdominant": 3},
+    5: {"dominant": 1, "intermediate": 3, "subdominant": 5},
+}
 
-class Kind(enum.Enum):
-    DOMINANT = "dominant"
-    INTERMEDIATE = "intermediate"
-    SUBDOMINANT = "subdominant"
 
-
-@dataclass(frozen=True)
-class AsymSeriesSpec:
-    """One exponential level of the compound expansion, bound to its coefficients."""
-
-    params: ExpansionParams
-    coeffs: CoeffTable
-    kind: Kind
-
-    def __post_init__(self):
-        if self.kind is Kind.INTERMEDIATE and self.params.n != 5:
-            raise OrderUnsupported("the intermediate level exists only for n = 5")
-        if self.coeffs.params != self.params:
-            raise ValueError("coefficient table belongs to different parameters")
+def _start_weight(params, k, working):
+    """The complex start weight w of the level at angle k (see the module table)."""
+    n, bs, theta = params.n, params.b_list, params.theta
+    if k == n and n == 3:
+        return mp.cospi(to_mpf(bs[0] - bs[1], working))  # exact 0 at half-integer a-b
+    if k == n:
+        return mp.fsum(mp.cospi(to_mpf(theta + 2 * b + 2 * bs[3], working)) for b in bs[:3])
+    amplitude = 1 if k == 1 else -mp.fsum(mp.expjpi(to_mpf(2 * b, working)) for b in bs)
+    return amplitude * mp.expjpi(to_mpf(k * theta / n, working))
 
 
 def _check_args(params, coeffs, x, M, dps):
@@ -72,113 +65,62 @@ def _check_args(params, coeffs, x, M, dps):
     return xm, working
 
 
-def _trace(coeffs, xm, M):
-    return tuple(abs(coeffs[j]) * xm ** (-j) for j in range(M))
+def _level_series(level, params, coeffs, x, M, dps):
+    """One exponential level truncated after M terms (j = 0..M-1).
 
-
-def _result(value, trace, error, M):
-    return EvalResult(value=value, method=METHOD_ASYMPTOTIC, terms_used=M,
-                      max_term_magnitude=max(trace), error_estimate=abs(error),
-                      term_trace=trace)
+    ``error_estimate`` is the first omitted term, |prefactor * w| |c_M| x^(-M).
+    """
+    k = _ANGLES[params.n].get(level)
+    if k is None:
+        raise OrderUnsupported(f"order n = {params.n} has no {level} level")
+    xm, working = _check_args(params, coeffs, x, M, dps)
+    with mp.workdps(working):
+        theta = to_mpf(params.theta, working)
+        a0 = to_mpf(params.A0, working) if working > params.dps else params.A0
+        w = _start_weight(params, k, working)
+        angle = mp.mpf(k) / params.n
+        pref = 2 * a0 * xm ** theta * mp.exp(xm * mp.cospi(angle))
+        phase = w * mp.expj(xm * mp.sinpi(angle))
+        step = mp.mpc(mp.cospi(angle), -mp.sinpi(angle)) / xm
+        total = mp.mpf(0)
+        for j in range(M):
+            total += coeffs[j] * phase.real
+            phase *= step
+        trace = tuple(abs(coeffs[j]) * xm ** (-j) for j in range(M))
+        omitted = abs(coeffs[M]) * xm ** (-M) if M < len(coeffs) else trace[-1]
+        return EvalResult(value=pref * total, method=METHOD_ASYMPTOTIC, terms_used=M,
+                          max_term_magnitude=max(trace),
+                          error_estimate=abs(pref * w) * omitted, term_trace=trace)
 
 
 def dominant_series(params, coeffs, x, M, dps=None):
     """Truncated dominant expansion (M terms, j = 0..M-1)."""
-    xm, working = _check_args(params, coeffs, x, M, dps)
-    n = params.n
-    with mp.workdps(working):
-        theta = to_mpf(params.theta, working)
-        a0 = to_mpf(params.A0, working) if working > params.dps else params.A0
-        pref = 2 * a0 * xm ** theta * mp.exp(xm * mp.cospi(mp.mpf(1) / n))
-        osc = xm * mp.sinpi(mp.mpf(1) / n)
-        total = mp.mpf(0)
-        for j in range(M):
-            total += coeffs[j] * xm ** (-j) * mp.cos(osc + mp.pi * (theta - j) / n)
-        trace = _trace(coeffs, xm, M)
-        omitted = abs(coeffs[M]) * xm ** (-M) if M < len(coeffs) else trace[-1]
-        return _result(pref * total, trace, abs(pref) * omitted, M)
-
-
-def _cos_sin_sums(params, working):
-    c = sum(mp.cospi(to_mpf(2 * br, working)) for br in params.b_list)
-    s = sum(mp.sinpi(to_mpf(2 * br, working)) for br in params.b_list)
-    return c, s
+    return _level_series("dominant", params, coeffs, x, M, dps)
 
 
 def subdominant_series(params, coeffs, x, M, dps=None):
     """Truncated exponentially small expansion (M terms)."""
-    xm, working = _check_args(params, coeffs, x, M, dps)
-    n = params.n
-    with mp.workdps(working):
-        theta = to_mpf(params.theta, working)
-        a0 = to_mpf(params.A0, working) if working > params.dps else params.A0
-        trace = _trace(coeffs, xm, M)
-        if n == 3:
-            a, b = params.b_list
-            parity = mp.cospi(to_mpf(a - b, working))  # exact 0 at half-integer a-b
-            pref = 2 * a0 * parity * xm ** theta * mp.exp(-xm)
-            total = mp.mpf(0)
-            for j in range(M):
-                total += (-1) ** j * coeffs[j] * xm ** (-j)
-        elif n == 4:
-            csum, ssum = _cos_sin_sums(params, working)
-            pref = -2 * a0 * xm ** theta * mp.exp(xm * mp.cospi(mp.mpf(3) / 4))
-            osc = xm * mp.sinpi(mp.mpf(3) / 4)
-            total = mp.mpf(0)
-            for j in range(M):
-                phi = osc + 3 * mp.pi * (theta - j) / 4
-                total += coeffs[j] * xm ** (-j) * (mp.cos(phi) * csum - mp.sin(phi) * ssum)
-        else:
-            b4 = params.b_list[3]
-            fac = sum(mp.cospi(to_mpf(params.theta + 2 * br + 2 * b4, working))
-                      for br in params.b_list[:3])
-            pref = 2 * a0 * fac * xm ** theta * mp.exp(-xm)
-            total = mp.mpf(0)
-            for j in range(M):
-                total += (-1) ** j * coeffs[j] * xm ** (-j)
-        omitted = abs(coeffs[M]) * xm ** (-M) if M < len(coeffs) else trace[-1]
-        return _result(pref * total, trace, abs(pref) * omitted, M)
+    return _level_series("subdominant", params, coeffs, x, M, dps)
 
 
 def intermediate_series_n5(params, coeffs, x, M, dps=None):
     """Truncated middle exponential level, which exists only for n = 5."""
-    if params.n != 5:
-        raise OrderUnsupported("the intermediate level exists only for n = 5")
-    xm, working = _check_args(params, coeffs, x, M, dps)
-    with mp.workdps(working):
-        theta = to_mpf(params.theta, working)
-        a0 = to_mpf(params.A0, working) if working > params.dps else params.A0
-        csum, ssum = _cos_sin_sums(params, working)
-        pref = -2 * a0 * xm ** theta * mp.exp(xm * mp.cospi(mp.mpf(3) / 5))
-        osc = xm * mp.sinpi(mp.mpf(3) / 5)
-        total = mp.mpf(0)
-        for j in range(M):
-            phi = osc + 3 * mp.pi * (theta - j) / 5
-            total += coeffs[j] * xm ** (-j) * (mp.cos(phi) * csum - mp.sin(phi) * ssum)
-        trace = _trace(coeffs, xm, M)
-        omitted = abs(coeffs[M]) * xm ** (-M) if M < len(coeffs) else trace[-1]
-        return _result(pref * total, trace, abs(pref) * omitted, M)
+    return _level_series("intermediate", params, coeffs, x, M, dps)
 
 
-def optimal_truncation_index(coeffs, x, kind=Kind.DOMINANT):
+def optimal_truncation_index(coeffs, x, allow_boundary=False):
     """Index of the least magnitude |c_j| x^(-j) over the table.
 
     The coefficient magnitudes oscillate, so the scan takes the global least
     term of the available table rather than the first local dip (shallow
     pre-asymptotic dips would truncate far too early).  If the least term
     sits at the very end of the table the minimum is unconfirmed and
-    NoMinimumDetected is raised: extend the table.
+    NoMinimumDetected is raised (extend the table), unless ``allow_boundary``
+    accepts it, as a fixed coefficient budget does.
     """
-    if kind is Kind.INTERMEDIATE and coeffs.params.n != 5:
-        raise OrderUnsupported("the intermediate level exists only for n = 5")
-    if len(coeffs) < 2:
-        raise NoMinimumDetected("need at least two coefficients")
     mags = coeffs.term_magnitudes(x)
-    best = 0
-    for j in range(1, len(mags)):
-        if mags[j] < mags[best]:
-            best = j
-    if best == len(mags) - 1:
+    best = min(range(len(mags)), key=mags.__getitem__)
+    if best == len(mags) - 1 and not allow_boundary:
         raise NoMinimumDetected(
             f"term magnitudes still decreasing at the end of a {len(coeffs)}-coefficient table")
     return best
@@ -216,14 +158,20 @@ def compound_eval(params, x, truncation=OPTIMAL, dps=None):
     m_used = j0 + 1
     working = check_dps(dps) if dps is not None else params.dps
     dom = dominant_series(params, table, x, m_used, dps=working)
-    sub = subdominant_series(params, table, x, m_used, dps=working)
     with mp.workdps(working):
-        value = dom.value + sub.value
-        if params.n == 5:
-            value += intermediate_series_n5(params, table, x, m_used, dps=working).value
+        value = dom.value + _exp_small(params, table, x, m_used, working)
     return EvalResult(value=value, method=METHOD_COMPOUND, terms_used=m_used,
                       max_term_magnitude=dom.max_term_magnitude,
                       error_estimate=dom.error_estimate, term_trace=dom.term_trace)
+
+
+def _exp_small(params, table, x, M, working):
+    """Every level below the dominant one, each summed to M terms."""
+    value = subdominant_series(params, table, x, M, dps=working).value
+    if "intermediate" in _ANGLES[params.n]:
+        with mp.workdps(working):
+            value += intermediate_series_n5(params, table, x, M, dps=working).value
+    return value
 
 
 def _residual_target_digits(x):
@@ -249,15 +197,6 @@ def residual_F(params, x, j0, dps=None):
         return base.value - dom.value
 
 
-def subdominant_optimal(params, x, table=None, dps=None):
-    """Subdominant expansion summed to its own least term; returns (value, index)."""
-    if table is None:
-        table, j0 = _table_for(params, x, OPTIMAL)
-    else:
-        j0 = optimal_truncation_index(table, x, Kind.SUBDOMINANT)
-    return subdominant_series(params, table, x, j0 + 1, dps=dps).value, j0
-
-
 def exp_small_optimal(params, x, table=None, dps=None):
     """All below-dominant levels at their least term (the residual's counterpart).
 
@@ -267,10 +206,6 @@ def exp_small_optimal(params, x, table=None, dps=None):
     if table is None:
         table, j0 = _table_for(params, x, OPTIMAL)
     else:
-        j0 = optimal_truncation_index(table, x, Kind.SUBDOMINANT)
+        j0 = optimal_truncation_index(table, x)
     working = check_dps(dps) if dps is not None else params.dps
-    value = subdominant_series(params, table, x, j0 + 1, dps=working).value
-    if params.n == 5:
-        with mp.workdps(working):
-            value += intermediate_series_n5(params, table, x, j0 + 1, dps=working).value
-    return value, j0
+    return _exp_small(params, table, x, j0 + 1, working), j0

@@ -101,10 +101,6 @@ class _LogGammaAsym:
         return _LogGammaAsym(self.s_log_s - other.s_log_s, self.s_lin - other.s_lin,
                              self.log_s - other.log_s, self.tail - other.tail)
 
-    def __add__(self, other):
-        return _LogGammaAsym(self.s_log_s + other.s_log_s, self.s_lin + other.s_lin,
-                             self.log_s + other.log_s, self.tail + other.tail)
-
 
 def _log_gamma_series(scale, shift, length, dps):
     """Stirling expansion of ln Gamma(scale*s + shift), re-expanded in 1/s.

@@ -45,10 +45,6 @@ class ExpansionParams:
         """Denominator parameters rounded to working precision."""
         return tuple(to_mpf(b, self.dps) for b in self.b_list)
 
-    @property
-    def theta_mp(self):
-        return to_mpf(self.theta, self.dps)
-
     def describe(self):
         bs = ", ".join(str(b) for b in self.b_list)
         return f"n={self.n} b=({bs}) theta={self.theta} dps={self.dps}"

@@ -28,11 +28,6 @@ class PowerSeries1OverS:
             raise ValueError("series needs at least the constant coefficient")
 
     @classmethod
-    def zero(cls, length, dps):
-        with mp.workdps(dps):
-            return cls((mp.mpf(0),) * (length + 1), dps)
-
-    @classmethod
     def constant(cls, value, length, dps):
         with mp.workdps(dps):
             c = [mp.mpf(0)] * (length + 1)
@@ -66,9 +61,6 @@ class PowerSeries1OverS:
         with mp.workdps(dps):
             return PowerSeries1OverS(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), dps)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, factor):
         with mp.workdps(self.dps):
             f = to_mpf(factor, self.dps)
@@ -93,13 +85,6 @@ class PowerSeries1OverS:
 
     __rmul__ = __mul__
 
-    def shift(self, orders):
-        """Multiply by s^(-orders), dropping coefficients past L."""
-        if orders < 0:
-            raise ValueError("only non-negative shifts are supported")
-        c = (mp.mpf(0),) * orders + self.coeffs
-        return PowerSeries1OverS(c[: self.length + 1], self.dps)
-
     def exp(self):
         """exp of a series with zero constant term.
 
@@ -119,21 +104,6 @@ class PowerSeries1OverS:
                         acc += k * fk * g[m - k]
                 g[m] = acc / m
             return PowerSeries1OverS(tuple(g), self.dps)
-
-    def log(self):
-        """log of a series with unit constant term (inverse of exp)."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires a unit constant term")
-        L = self.length
-        with mp.workdps(self.dps):
-            f = [mp.mpf(0)] * (L + 1)
-            for m in range(1, L + 1):
-                acc = mp.mpf(0)
-                for k in range(1, m):
-                    if f[k] != 0:
-                        acc += k * f[k] * self.coeffs[m - k]
-                f[m] = self.coeffs[m] - acc / m
-            return PowerSeries1OverS(tuple(f), self.dps)
 
 
 def reciprocal_linear(c, scale, length, dps):

@@ -23,7 +23,7 @@ from importlib import resources
 
 from mpmath import mp
 
-from .asym import dominant_series, residual_F, subdominant_series
+from .asym import dominant_series, optimal_truncation_index, residual_F, subdominant_series
 from .coeffs import riney_coeffs, stirling_matching_coeffs
 from .params import derive_params
 
@@ -142,15 +142,6 @@ def reproduce_table1():
     return TableReport("T1", tuple(rows))
 
 
-def _least_term_within(table, x):
-    mags = table.term_magnitudes(x)
-    best = 0
-    for j in range(1, len(mags)):
-        if mags[j] < mags[best]:
-            best = j
-    return best
-
-
 def reproduce_table2():
     """Relative error of the optimally truncated dominant expansion, 15 rows.
 
@@ -167,7 +158,7 @@ def reproduce_table2():
             tables[bs] = (params, stirling_matching_coeffs(params, T2_COEFF_BUDGET))
         params, table = tables[bs]
         x = int(rec["x"])
-        j0 = _least_term_within(table, x)
+        j0 = optimal_truncation_index(table, x, allow_boundary=True)
         exact = series_eval(params, x, target_digits=34)
         dom = dominant_series(params, table, x, j0 + 1, dps=80)
         with mp.workdps(80):
@@ -197,7 +188,7 @@ def _residual_rows(table_id, n):
             value = residual_F(params, x, j0)
             inputs = {"b": rec["b_list"], "x": rec["x"], "j0": rec["j"]}
         else:
-            j0 = _least_term_within(table, x)
+            j0 = optimal_truncation_index(table, x, allow_boundary=True)
             value = subdominant_series(params, table, x, j0 + 1, dps=70).value
             inputs = {"b": rec["b_list"], "x": rec["x"]}
         ok, rel = _digit_match(value, rec["value"])

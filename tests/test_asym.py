@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from hyperbessel import (AsymSeriesSpec, ClosedFormCase, CoeffShortfall, DomainError, Kind,
-                         NoMinimumDetected, OrderUnsupported, closed_form_eval, compound_eval,
-                         derive_params, dominant_series, exp_small_optimal,
-                         intermediate_series_n5, optimal_truncation_index, residual_F,
-                         series_eval, stirling_matching_coeffs, subdominant_optimal,
-                         subdominant_series)
+from hyperbessel import (ClosedFormCase, CoeffShortfall, DomainError, NoMinimumDetected,
+                         OrderUnsupported, closed_form_eval, compound_eval, derive_params,
+                         dominant_series, exp_small_optimal, intermediate_series_n5,
+                         optimal_truncation_index, residual_F, series_eval,
+                         stirling_matching_coeffs, subdominant_series)
+from hyperbessel.precision import to_mpf
 
 F = Fraction
 
@@ -99,18 +101,14 @@ def test_intermediate_requires_n5(thirds):
     p, t = thirds
     with pytest.raises(OrderUnsupported):
         intermediate_series_n5(p, t, 5, 1)
-    with pytest.raises(OrderUnsupported):
-        AsymSeriesSpec(p, t, Kind.INTERMEDIATE)
 
 
-def test_spec_validates_table_binding(thirds):
+def test_levels_validate_table_binding(thirds):
     p, t = thirds
     other = derive_params(3, ("2/3", "5/6"), precision=60)
-    with pytest.raises(ValueError):
-        AsymSeriesSpec(other, t, Kind.DOMINANT)
-    with pytest.raises(ValueError):
-        dominant_series(other, t, 5, 1)
-    AsymSeriesSpec(p, t, Kind.DOMINANT)
+    for level in (dominant_series, subdominant_series):
+        with pytest.raises(ValueError):
+            level(other, t, 5, 1)
 
 
 def test_domain_and_shortfall(thirds):
@@ -146,6 +144,23 @@ def test_optimal_truncation_no_minimum():
     t = stirling_matching_coeffs(p, 10)
     with pytest.raises(NoMinimumDetected):
         optimal_truncation_index(t, 50)  # terms still decreasing at the table end
+    # a fixed coefficient budget takes the boundary as its least term
+    assert optimal_truncation_index(t, 50, allow_boundary=True) == 9
+
+
+@pytest.mark.parametrize("n, bs, level", [
+    (4, ("-1/4", "1/2", "5/8"), subdominant_series),
+    (5, ("1/10", "1/5", "3/10", "11/10"), intermediate_series_n5),
+])
+def test_error_estimate_bounds_next_term(n, bs, level):
+    # the first omitted term carries the level's amplitude |sum_r e^(2 pi i b_r)|
+    p = derive_params(n, bs, precision=50)
+    t = stirling_matching_coeffs(p, 14)
+    with mp.workdps(50):
+        for m in range(1, 13):
+            s_m = level(p, t, 12, m)
+            added = abs(level(p, t, 12, m + 1).value - s_m.value)
+            assert added <= s_m.error_estimate * (1 + mp.mpf("1e-40"))
 
 
 def test_compound_collapses_on_closed_forms():
@@ -201,7 +216,7 @@ def test_residual_matches_exp_small():
     p = derive_params(3, ("5/4", "1/4"), precision=60)
     t = stirling_matching_coeffs(p, 40)
     resid = residual_F(p, 15, 15)
-    es, j_sub = subdominant_optimal(p, 15, table=t, dps=70)
+    es, j_sub = exp_small_optimal(p, 15, table=t, dps=70)
     with mp.workdps(50):
         assert abs(resid - es) <= abs(es) * mp.mpf("0.02")
     assert j_sub > 15
@@ -214,7 +229,7 @@ def test_residual_match_improves_with_x():
     with mp.workdps(60):
         for x, j0 in ((10, 13), (15, 15), (20, 24)):
             resid = residual_F(p, x, j0)
-            es, _ = subdominant_optimal(p, x, table=t, dps=75)
+            es, _ = exp_small_optimal(p, x, table=t, dps=75)
             rels.append(abs(resid - es) / abs(es))
     assert rels[0] > rels[1] > rels[2]
 
@@ -236,9 +251,13 @@ def test_n5_intermediate_in_residual():
 def test_exp_small_optimal_includes_intermediate():
     p = derive_params(5, ("1/5", "2/5", "3/5", "9/10"), precision=60)
     t = stirling_matching_coeffs(p, 100)
-    es, _ = exp_small_optimal(p, 40, table=t, dps=80)
-    sub_only, _ = subdominant_optimal(p, 40, table=t, dps=80)
-    assert es != sub_only
+    es, j0 = exp_small_optimal(p, 40, table=t, dps=80)
+    assert j0 == optimal_truncation_index(t, 40)
+    sub = subdominant_series(p, t, 40, j0 + 1, dps=80).value
+    inter = intermediate_series_n5(p, t, 40, j0 + 1, dps=80).value
+    with mp.workdps(80):
+        assert inter != 0
+        assert abs(es - (sub + inter)) <= abs(inter) * mp.mpf("1e-70")
 
 
 def test_sine_product_split_identities():
@@ -295,3 +314,65 @@ def test_remainder_scaling_mini():
             theta = mp.mpf(p.theta.numerator) / p.theta.denominator
             ratios.append(abs(s.value - d.value) / (xm ** theta * mp.exp(xm / 2) * xm ** -5))
         assert max(ratios) <= 10 * min(ratios)
+
+
+LEVELS = {"dominant": dominant_series, "intermediate": intermediate_series_n5,
+          "subdominant": subdominant_series}
+PROPERTY_DPS = 40
+
+
+def _q(value):
+    return to_mpf(value, PROPERTY_DPS)
+
+
+def _reference_level(p, t, x, M, level):
+    """A level summed term by term in its cosine form; returns (value, |prefactor w0|).
+
+    The oscillating levels take one cos and one sin per term; the e^(-x)
+    levels (k = n) alternate in sign.
+    """
+    n, bs, theta = p.n, p.b_list, _q(p.theta)
+    k = {"dominant": 1, "intermediate": 3, "subdominant": 3 if n == 4 else n}[level]
+    pref = 2 * p.A0 * x ** theta * mp.exp(x * mp.cospi(mp.mpf(k) / n))
+    if k == n:
+        if n == 3:
+            w0 = mp.cospi(_q(bs[0] - bs[1]))
+        else:
+            w0 = mp.fsum(mp.cospi(_q(p.theta + 2 * b + 2 * bs[3])) for b in bs[:3])
+        total = mp.fsum((-1) ** j * t[j] * x ** (-j) for j in range(M))
+        return pref * w0 * total, abs(pref * w0)
+    if k == 1:
+        c, s = mp.mpf(1), mp.mpf(0)
+    else:
+        c = -mp.fsum(mp.cospi(_q(2 * b)) for b in bs)
+        s = -mp.fsum(mp.sinpi(_q(2 * b)) for b in bs)
+    osc = x * mp.sinpi(mp.mpf(k) / n)
+    total = mp.mpf(0)
+    for j in range(M):
+        phi = osc + k * mp.pi * (theta - j) / n
+        total += t[j] * x ** (-j) * (mp.cos(phi) * c - mp.sin(phi) * s)
+    return pref * total, abs(pref) * mp.hypot(c, s)
+
+
+@st.composite
+def level_cases(draw):
+    n = draw(st.sampled_from((3, 4, 5)))
+    grid = st.integers(-11, 30).filter(lambda k: k > 0 or k % 12)  # no gamma poles
+    bs = tuple(F(draw(grid), 12) for _ in range(n - 1))
+    level = draw(st.sampled_from(["dominant", "subdominant"] + (["intermediate"] if n == 5 else [])))
+    x = F(draw(st.integers(32, 320)), 8)
+    return n, bs, level, x, draw(st.integers(1, 30))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(level_cases())
+def test_level_evaluator_matches_per_term_reference(case):
+    n, bs, level, x, M = case
+    p = derive_params(n, bs, precision=PROPERTY_DPS)
+    t = stirling_matching_coeffs(p, M + 1)
+    got = LEVELS[level](p, t, x, M).value
+    with mp.workdps(PROPERTY_DPS):
+        xm = _q(x)
+        want, scale = _reference_level(p, t, xm, M, level)
+        magnitude = mp.fsum(abs(t[j]) * xm ** (-j) for j in range(M))
+        assert abs(got - want) <= mp.mpf(10) ** (5 - PROPERTY_DPS) * scale * magnitude
