@@ -22,14 +22,18 @@ available coefficient table (the weight and phase are excluded from the
 magnitude, so all levels share one index).
 """
 
-from math import ceil
+import logging
+from math import ceil, cos, log, pi
 
 from mpmath import mp
 
 from .coeffs import stirling_matching_coeffs
-from .errors import CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported
-from .precision import check_dps, to_mpf
+from .errors import (CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported,
+                     PrecisionInsufficient)
+from .precision import auto_series_dps, check_dps, to_mpf
 from .reference import METHOD_ASYMPTOTIC, METHOD_COMPOUND, EvalResult, series_eval
+
+logger = logging.getLogger(__name__)
 
 #: the levels of each order with their angle k: the level sits at e^(x cos(k pi/n))
 _ANGLES = {
@@ -138,6 +142,8 @@ def _table_for(params, x, truncation):
                 j0 = optimal_truncation_index(table, x)
                 return table, j0
             except NoMinimumDetected:
+                logger.debug("compound table: no least term within %d coefficients at x = %s, "
+                             "growing to %d", m, x, ceil(m * 1.5))
                 m = ceil(m * 1.5)
         raise NoMinimumDetected(f"no confirmed least term within {m} coefficients")
     m = int(truncation)
@@ -183,13 +189,22 @@ def residual_F(params, x, j0, dps=None):
     """F_n(x) minus the dominant expansion summed through index j0 (inclusive).
 
     This is the numerically extracted exponentially small residual; compare it
-    with ``subdominant_series`` (plus the intermediate level for n = 5).
+    with ``subdominant_series`` (plus the intermediate level for n = 5).  The
+    dominant sum uses coefficients at ``params.dps`` digits, and the e^(-x)
+    level lies (1 + cos(pi/n)) x / ln 10 digits below it, so
+    PrecisionInsufficient is raised when ``params.dps`` falls short of that
+    plus 10 digits.
     """
     if j0 < 0:
         raise ValueError("truncation index must be non-negative")
+    xf = float(to_mpf(x, 30))
+    needed = ceil((1 + cos(pi / params.n)) * xf / log(10)) + 10
+    if params.dps < needed:
+        raise PrecisionInsufficient(
+            f"residual at x = {xf:.6g} needs parameters at {needed} digits or more "
+            f"to resolve the e^(-x) level, got {params.dps}")
     target = _residual_target_digits(x)
-    from .precision import auto_series_dps
-    working = check_dps(dps) if dps is not None else auto_series_dps(x, target)
+    working = check_dps(dps) if dps is not None else auto_series_dps(target)
     base = series_eval(params, x, target_digits=target, dps=working)
     table = stirling_matching_coeffs(params, j0 + 2)
     dom = dominant_series(params, table, x, j0 + 1, dps=working)

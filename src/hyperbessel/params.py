@@ -40,11 +40,6 @@ class ExpansionParams:
     theta_prime: Fraction
     A0: object             # mpf at dps digits
 
-    @property
-    def b_mp(self):
-        """Denominator parameters rounded to working precision."""
-        return tuple(to_mpf(b, self.dps) for b in self.b_list)
-
     def describe(self):
         bs = ", ".join(str(b) for b in self.b_list)
         return f"n={self.n} b=({bs}) theta={self.theta} dps={self.dps}"

@@ -13,13 +13,18 @@ quantities such as a - b or theta + theta_prime are exact before the final
 rounding to ``dps`` digits.
 """
 
+import logging
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
 
+logger = logging.getLogger(__name__)
+
 MIN_DPS = 30
 DEFAULT_DPS = 50
+#: digits above the target that direct summation works at
+SERIES_GUARD_DIGITS = 10
 
 
 def to_fraction(value):
@@ -50,15 +55,18 @@ def to_mpf(value, dps):
         return +mpmath.mpmathify(value)
 
 
-def auto_series_dps(x, target_digits):
-    """Working precision for direct summation at argument ``x``.
+def auto_series_dps(target_digits):
+    """Working precision for direct summation: the target plus guard digits.
 
-    The largest summand grows like e^x while the sum is only e^(x/2)-large
-    (n = 3), and resolving the e^(-x) component underneath costs a further
-    ~0.65x digits; 1.2x plus guard covers both for every supported order.
+    ``series_eval`` forms the partial sum exactly, so the ~e^x cancellation
+    between its terms costs no digits and the precision does not depend on
+    x.  Only the final division and the gamma product are rounded; the guard
+    covers them and a caller's rescaling (``humbert_J``).  Low targets still
+    get ``DEFAULT_DPS`` digits.
     """
-    xf = float(x)
-    return max(DEFAULT_DPS, int(mpmath.ceil(1.2 * xf)) + int(target_digits) + 20)
+    working = max(DEFAULT_DPS, int(target_digits) + SERIES_GUARD_DIGITS)
+    logger.debug("auto_series_dps: %d digits for a %d-digit target", working, target_digits)
+    return working
 
 
 def check_dps(dps):

@@ -1,31 +1,47 @@
-"""Ground-truth evaluation by direct series summation, plus exact closed forms.
+"""Ground-truth evaluation by exact direct summation, plus exact closed forms.
 
 The central object is
 
     F_n(x) = sum_{k>=0} (-)^k (x/n)^(n k) / (Gamma(k+b_1) ... Gamma(k+b_{n-1}) k!),
 
 an entire function whose terms peak near k ~ x/n at magnitude ~e^x while the
-sum itself is only ~e^(x cos(pi/n)); the working precision chosen by
-``auto_series_dps`` absorbs that cancellation.  The Humbert hyper-Bessel
-function is the rescaled n = 3 case
+sum itself is only ~e^(x cos(pi/n)).  With x/n = p/q and b_j = u_j/v_j the
+ratio of successive terms is the fixed integer a = -p^n prod_j v_j over the
+integer polynomial B(k) = q^n (k+1) prod_j (v_j k + u_j), so
+``series_eval`` forms the partial sum exactly in integers by binary splitting
+(Haible & Papanikolaou, "Fast multiprecision evaluation of series of rational
+numbers", 1998).  The ~e^x cancellation therefore costs no digits: only the
+final division and the prod_j Gamma(b_j) factor are rounded.  The Humbert
+hyper-Bessel function is the rescaled n = 3 case
 
     J_{m,nu}(x) = (x/3)^(m+nu) F_3(x; b = (m+1, nu+1)).
 """
 
 import enum
+import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DomainError, PrecisionInsufficient, TailNotConverged
 from .params import derive_params
-from .precision import auto_series_dps, check_dps, to_fraction, to_mpf
+from .precision import DEFAULT_DPS, auto_series_dps, check_dps, to_fraction, to_mpf
+
+logger = logging.getLogger(__name__)
 
 METHOD_SERIES = "series"
 METHOD_CLOSED_FORM = "closed-form"
 METHOD_ASYMPTOTIC = "asymptotic"
 METHOD_COMPOUND = "compound"
+
+#: digits below the target at which the term count is chosen, so that the
+#: exact tail check rarely asks for more terms
+TAIL_GUARD_DIGITS = 10
+#: extensions of the term count before a partial sum that stays below its
+#: tail is taken for a zero of F
+MAX_EXTENSIONS = 8
 
 
 @dataclass(frozen=True)
@@ -33,7 +49,7 @@ class EvalResult:
     """One evaluation: value plus convergence/cancellation diagnostics.
 
     ``error_estimate`` is absolute.  ``max_term_magnitude`` exposes how much
-    cancellation occurred: digits lost ~ log10(max_term / |value|).
+    the terms cancel: digits lost ~ log10(max_term / |value|).
     """
 
     value: object
@@ -50,62 +66,157 @@ class EvalResult:
         return mp.log10(abs(self.max_term_magnitude) / abs(self.value))
 
 
-def series_eval(params, x, target_digits=20, dps=None):
-    """Sum F_n(x) directly until the tail is provably below the target.
+def _exact_argument(x, working):
+    """x as a Fraction: exact for int, Fraction and str; other numbers are
+    first rounded to the working precision (an mpf is then an exact dyadic)."""
+    if isinstance(x, (int, Fraction, str)):
+        return to_fraction(x)
+    return to_fraction(to_mpf(x, working))
 
-    Terms are accumulated by the ratio recurrence
-    t_{k+1} = -t_k (x/n)^n / ((k+1) prod_j (k+b_j)); summation stops once the
-    magnitudes have passed their peak, the next ratio is below 1/2 (so a
-    geometric tail bound applies) and the current term is 10 digits below the
-    target relative to the accumulated sum (floored at the rounding noise, so
-    a transient zero of the partial sum cannot stall termination).
-    ``error_estimate`` is the resulting tail bound 2|t_K|.
 
-    Raises PrecisionInsufficient when accumulated rounding noise (or a
-    near-zero of F) makes the relative target unreachable at the working
-    precision.
+class _TermRatio:
+    """r_{k+1} / r_k = a / B(k) for F_n at an exact x, with r_0 = 1.
+
+    ``logs`` holds the float magnitudes ln|r_k| scanned so far and ``den``
+    the integers B(k), one entry ahead of ``logs``.
     """
-    working = check_dps(dps) if dps is not None else auto_series_dps(x, target_digits)
-    with mp.workdps(working):
-        xm = to_mpf(x, working)
-        if xm < 0:
-            raise DomainError(f"x must be non-negative, got {xm}")
-        bs = params.b_mp if params.dps >= working else tuple(to_mpf(b, working) for b in params.b_list)
-        n = params.n
-        big_x = (xm / n) ** n
-        term = 1 / mp.fprod([mp.gamma(bj) for bj in bs])
-        total = term
-        max_term = abs(term)
-        trace = [abs(term)]
-        peak_passed = False
-        k = 0
-        stop_threshold = mp.mpf(10) ** (-target_digits - 10)
+
+    def __init__(self, n, b_list, xq):
+        z = xq / n
+        self.a = -z.numerator ** n * math.prod(b.denominator for b in b_list)
+        self._qn = z.denominator ** n
+        self._vu = tuple((b.denominator, b.numerator) for b in b_list)
+        # |B(k)| increases once every k + b_j is positive, so the ratios fall
+        self._k_mono = max(0, max(math.ceil(-b) for b in b_list))
+        self.logs = [0.0]
+        self.den = [self._den_at(0)]
+
+    def _den_at(self, k):
+        out = self._qn * (k + 1)
+        for v, u in self._vu:
+            out *= v * k + u
+        return out
+
+    def scan(self, goal):
+        """Scan on to the first N >= 1 at which the tail from r_N is at most
+        2|r_N| (r_N lies past every sign change of k + b_j and the ratio
+        after it is at most 1/2) and ln|r_N| <= goal; return N."""
+        log_a = math.log(abs(self.a))
+        logs, den = self.logs, self.den
         while True:
-            ratio = -big_x / ((k + 1) * mp.fprod([k + bj for bj in bs]))
-            term = term * ratio
-            total += term
-            k += 1
-            mag = abs(term)
-            trace.append(mag)
-            if mag > max_term:
-                max_term = mag
-            elif mag < trace[-2]:
-                peak_passed = True
-            next_ratio = abs(big_x / ((k + 1) * mp.fprod([k + bj for bj in bs])))
-            scale = max(abs(total), max_term * mp.mpf(10) ** (-working))
-            if peak_passed and next_ratio <= mp.mpf("0.5") and mag <= stop_threshold * scale:
-                break
-            if k > 200 * working:
-                raise PrecisionInsufficient(f"series did not terminate within {k} terms")
-        error = 2 * mag
-        rounding = (k + 1) * max_term * mp.mpf(10) ** (1 - working)
-        if abs(total) == 0 or rounding + error > mp.mpf(10) ** (-target_digits) * abs(total):
+            k = len(logs)
+            logs.append(logs[-1] + log_a - math.log(abs(den[-1])))
+            den.append(self._den_at(k))
+            if k >= self._k_mono and 2 * abs(self.a) <= abs(den[k]) and logs[k] <= goal:
+                return k
+
+    def split(self, lo, hi):
+        """Binary splitting of the terms lo..hi-1.
+
+        Returns integers (P, Q, T) with P = a^(hi-lo), Q = B(lo)...B(hi-1)
+        and T/Q = sum_{k=lo}^{hi-1} r_k / r_lo, so P/Q = r_hi / r_lo.
+        """
+        if hi - lo == 1:
+            return self.a, self.den[lo], self.den[lo]
+        mid = (lo + hi) // 2
+        p1, q1, t1 = self.split(lo, mid)
+        p2, q2, t2 = self.split(mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _exact_sum(ratio, target_digits, log_expected):
+    """(N, P, Q, T): the first N terms sum to T/Q and r_N = P/Q, with
+    2|r_N| <= 10^(-target-1) |T/Q|.
+
+    N is first chosen from the float magnitudes, ``TAIL_GUARD_DIGITS`` below
+    the target relative to e^log_expected; when the exact sum is smaller
+    than expected (near a zero of F) the range is extended by the missing
+    digits and merged into the same (P, Q, T).
+    """
+    terms = ratio.scan(log_expected - (target_digits + TAIL_GUARD_DIGITS) * math.log(10))
+    p, q, t = ratio.split(0, terms)
+    for _ in range(MAX_EXTENSIONS):
+        if 2 * abs(p) * 10 ** (target_digits + 1) <= abs(t):
+            return terms, p, q, t
+        deficit = (math.log10(2 * abs(p)) + target_digits + 1 - math.log10(abs(t))
+                   if t else TAIL_GUARD_DIGITS)
+        more = ratio.scan(ratio.logs[terms] - (deficit + TAIL_GUARD_DIGITS) * math.log(10))
+        logger.debug("series_eval: tail 10^%.1f above the target at %d terms, extending to %d",
+                     deficit, terms, more)
+        p2, q2, t2 = ratio.split(terms, more)
+        p, q, t, terms = p * p2, q * q2, t * q2 + p * t2, more
+    raise PrecisionInsufficient(
+        f"the partial sum is still below its tail after {terms} terms: F is zero "
+        f"to about {target_digits} digits here, so no relative accuracy can be certified")
+
+
+def _quotient(num, den, prec):
+    """num/den for integers as an mpf of ``prec`` bits.
+
+    The integer quotient is cut 10 bits below that and then rounded, so the
+    result is within 0.51 units in its last place.
+    """
+    if den < 0:
+        num, den = -num, -den
+    shift = prec + 10 + den.bit_length() - num.bit_length()
+    scaled = num << shift if shift >= 0 else num >> -shift
+    return mp.make_mpf(libmp.from_man_exp(scaled // den, -shift, prec, libmp.round_nearest))
+
+
+def _exp_mpf(log_value):
+    """e^log_value as an mpf to float accuracy, at any magnitude."""
+    e2 = log_value / math.log(2)
+    e = math.floor(e2)
+    return mp.make_mpf(libmp.from_man_exp(int(2.0 ** (e2 - e + 52)), e - 52))
+
+
+def series_eval(params, x, target_digits=20, dps=None):
+    """Sum F_n(x) exactly until the tail is provably below the target.
+
+    With r_k = t_k prod_j Gamma(b_j), the partial sum of N terms is the
+    rational T/Q formed by binary splitting from the integer ratio a / B(k)
+    (see the module docstring).  A float pass over ln|r_k| picks N so that
+    the tail is at most 2|r_N| and sits ``TAIL_GUARD_DIGITS`` below the
+    target relative to the expected size e^(x cos(pi/n)) x^min(theta, 0);
+    the exact sum then must show 2|r_N| <= 10^(-target-1) |T/Q|, and where
+    it does not (near a zero of F) N is extended without starting over.
+
+    Only T/Q and the gamma product are rounded, at the working precision
+    (``auto_series_dps`` unless ``dps`` is given), so ``error_estimate`` is
+    the tail bound 2|t_N| plus 10^(1-dps) |value|.  ``term_trace`` holds
+    |t_k| for the summed terms to float accuracy.  Raises
+    PrecisionInsufficient when that rounding cannot certify the target.
+    """
+    working = check_dps(dps) if dps is not None else auto_series_dps(target_digits)
+    xq = _exact_argument(x, working)
+    if xq < 0:
+        raise DomainError(f"x must be non-negative, got {xq}")
+    n, b_list = params.n, params.b_list
+    ratio = _TermRatio(n, b_list, xq)
+    if ratio.a == 0:
+        terms, p, q, t = 1, 0, 1, 1
+    else:
+        xf = float(xq)
+        log_expected = (xf * math.cos(math.pi / n)
+                        + min(float(params.theta), 0) * math.log(max(xf, 1)))
+        terms, p, q, t = _exact_sum(ratio, target_digits, log_expected)
+    with mp.workdps(working + 10):
+        gammas = mp.fprod([mp.gamma(to_mpf(b, working + 10)) for b in b_list])
+    with mp.workdps(working):
+        value = _quotient(t, q, mp.prec) / gammas
+        tail = _quotient(2 * abs(p), abs(q), mp.prec) / abs(gammas)
+        error = tail + abs(value) * mp.mpf(10) ** (1 - working)
+        if value == 0 or error > mp.mpf(10) ** (-target_digits) * abs(value):
             raise PrecisionInsufficient(
-                f"cannot certify {target_digits} digits at {working} dps "
-                f"(cancellation {mp.nstr(max_term, 3)} vs value {mp.nstr(total, 3)})")
-        return EvalResult(value=total, method=METHOD_SERIES, terms_used=k + 1,
-                          max_term_magnitude=max_term, error_estimate=error,
-                          term_trace=tuple(trace))
+                f"cannot certify {target_digits} digits at {working} dps: error bound "
+                f"{mp.nstr(error, 3)} against value {mp.nstr(value, 3)}; "
+                f"use at least {target_digits + 2} dps")
+        log_gamma = sum(math.lgamma(b) for b in b_list)
+        trace = tuple(_exp_mpf(log_r - log_gamma) for log_r in ratio.logs[:terms])
+        peak = max(range(terms), key=ratio.logs.__getitem__)
+        return EvalResult(value=value, method=METHOD_SERIES, terms_used=terms,
+                          max_term_magnitude=trace[peak], error_estimate=error,
+                          term_trace=trace)
 
 
 class ClosedFormCase(enum.Enum):
@@ -175,7 +286,7 @@ def humbert_J(m, nu, x, target_digits=20, dps=None):
     x_frac_zero = to_mpf(x, 30) == 0
     if x_frac_zero and power < 0:
         raise DomainError("x = 0 requires m + nu >= 0")
-    working = check_dps(dps) if dps is not None else auto_series_dps(x, target_digits)
+    working = check_dps(dps) if dps is not None else auto_series_dps(target_digits)
     params = derive_params(3, (m + 1, nu + 1), precision=working)
     if x_frac_zero and power > 0:
         with mp.workdps(working):
@@ -195,19 +306,24 @@ def humbert_identity_check(x, lam, N, target_digits=20, dps=None):
     """Partial sum of sum_k (-lam*x/3)^k / k! J_{k,k}(x) against J_{0,0}(x (1+lam)^(1/3)).
 
     Returns (lhs, rhs, |lhs - rhs|).  Raises TailNotConverged when the first
-    omitted outer term still exceeds the 10^(-target) tolerance.
+    omitted outer term still exceeds the 10^(-target) tolerance.  The outer
+    sum alternates and its terms grow up to ~e^x (lam = -1) times the result,
+    so unlike ``series_eval`` it needs guard digits that grow with x: it works
+    at 1.2 x + 30 digits above the target and sums each J_{k,k} to 10 digits
+    below that.
     """
     lam = to_fraction(lam)
     if lam < -1:
         raise DomainError("need 1 + lam >= 0 so the right-hand argument is real")
-    working = check_dps(dps) if dps is not None else max(auto_series_dps(x, target_digits) + 10, 50)
+    guard = math.ceil(1.2 * float(to_mpf(x, 30))) + 30
+    working = check_dps(dps) if dps is not None else max(target_digits + guard, DEFAULT_DPS)
     with mp.workdps(working):
         xm = to_mpf(x, working)
         lam_m = to_mpf(lam, working)
         lhs = mp.mpf(0)
         outer = mp.mpf(1)  # (-lam x/3)^k / k!
         for k in range(N + 1):
-            jkk = humbert_J(k, k, xm, target_digits=target_digits + 10, dps=working)
+            jkk = humbert_J(k, k, xm, target_digits=working - 10, dps=working)
             lhs += outer * jkk.value
             outer = outer * (-lam_m * xm / 3) / (k + 1)
         tol = mp.mpf(10) ** (-target_digits)
@@ -218,5 +334,5 @@ def humbert_identity_check(x, lam, N, target_digits=20, dps=None):
                 raise TailNotConverged(
                     f"omitted term at k={N + 1} still {mp.nstr(omitted, 3)} > {mp.nstr(tol, 3)}")
         arg = xm * (1 + lam_m) ** (mp.mpf(1) / 3)
-        rhs = humbert_J(0, 0, arg, target_digits=target_digits + 10, dps=working).value
+        rhs = humbert_J(0, 0, arg, target_digits=working - 10, dps=working).value
         return lhs, rhs, abs(lhs - rhs)

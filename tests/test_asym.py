@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, CoeffShortfall, DomainError, NoMinimumDetected,
-                         OrderUnsupported, closed_form_eval, compound_eval, derive_params,
-                         dominant_series, exp_small_optimal, intermediate_series_n5,
-                         optimal_truncation_index, residual_F, series_eval,
-                         stirling_matching_coeffs, subdominant_series)
+                         OrderUnsupported, PrecisionInsufficient, closed_form_eval, compound_eval,
+                         derive_params, dominant_series, exp_small_optimal,
+                         intermediate_series_n5, optimal_truncation_index, residual_F,
+                         series_eval, stirling_matching_coeffs, subdominant_series)
 from hyperbessel.precision import to_mpf
 
 F = Fraction
@@ -220,6 +220,14 @@ def test_residual_matches_exp_small():
     with mp.workdps(50):
         assert abs(resid - es) <= abs(es) * mp.mpf("0.02")
     assert j_sub > 15
+
+
+def test_residual_refuses_params_too_coarse_for_the_exp_small_level():
+    # the e^(-x) level lies 1.5 x / ln 10 ~ 59 digits below the dominant sum at x = 90
+    p = derive_params(3, ("4/3", "1/4"), precision=50)
+    with pytest.raises(PrecisionInsufficient, match="69 digits"):
+        residual_F(p, 90, 30)
+    residual_F(derive_params(3, ("4/3", "1/4"), precision=69), 90, 30)
 
 
 def test_residual_match_improves_with_x():

@@ -1,12 +1,16 @@
+import logging
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, DomainError, PrecisionInsufficient, TailNotConverged,
                          closed_form_eval, derive_params, humbert_J, humbert_identity_check,
                          series_eval)
+from hyperbessel.precision import to_fraction
 
 F = Fraction
 
@@ -15,8 +19,52 @@ def hyper_oracle(n, b_list, x, dps):
     """Independent evaluation through mpmath's generic hypergeometric code."""
     with mp.workdps(dps):
         bs = [mp.mpf(F(b).numerator) / F(b).denominator for b in b_list]
-        z = -(mp.mpf(x) / n) ** n
+        z = -(mp.mpf(F(x).numerator) / F(x).denominator / n) ** n
         return mpmath.hyper([], bs, z) / mp.fprod([mp.gamma(b) for b in bs])
+
+
+@st.composite
+def series_cases(draw):
+    n = draw(st.sampled_from((3, 4, 5)))
+    grid = st.integers(-11, 36).filter(lambda k: k > 0 or k % 12)  # no gamma poles
+    bs = tuple(F(draw(grid), 12) for _ in range(n - 1))
+    x = F(draw(st.sampled_from(range(400 * 64 + 1))), 64)
+    if draw(st.booleans()):
+        x = mp.mpf(float(x) * 1.0000001)      # a non-grid dyadic, exact at any precision
+    return n, bs, x, draw(st.sampled_from((20, 30, 40)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(series_cases())
+def test_series_meets_target_and_error_estimate(case):
+    n, bs, x, target = case
+    r = series_eval(derive_params(n, bs), x, target_digits=target)
+    xq = to_fraction(x)      # exact: the float-valued mpf needs no rounding
+    # the reference carries at least 10 digits more than the working precision,
+    # so its own error stays far below the rounding part of error_estimate
+    want = hyper_oracle(n, bs, xq, target + 40)
+    with mp.workdps(target + 40):
+        err = abs(r.value - want)
+        assert err <= mp.mpf(10) ** (-target) * abs(want)
+        assert err <= r.error_estimate
+    assert r.terms_used == len(r.term_trace)
+
+
+def test_series_near_a_zero_extends_the_term_count(caplog):
+    # x is within 1e-27 of a zero of F_3(x; 2/3, 5/6) near 38.7, so |F| ~ 5e-24
+    # lies far below its expected size and the first term count fails the
+    # exact tail check
+    x = F(38700929699882395033204937787, 10 ** 27)
+    with caplog.at_level(logging.DEBUG, logger="hyperbessel.reference"):
+        r = series_eval(derive_params(3, ("2/3", "5/6")), x, target_digits=20)
+    assert any("extending" in rec.getMessage() for rec in caplog.records)
+    want = hyper_oracle(3, ("2/3", "5/6"), x, 150)
+    with mp.workdps(150):
+        assert abs(want) < mp.mpf("1e-20")
+        err = abs(r.value - want)
+        assert err <= mp.mpf("1e-20") * abs(want)
+        assert err <= r.error_estimate
+    assert r.terms_used == len(r.term_trace)
 
 
 def test_value_at_zero():
@@ -144,6 +192,19 @@ def test_identity_generic():
     lhs, rhs, diff = humbert_identity_check(2, "0.5", 30)
     with mp.workdps(50):
         assert diff <= mp.mpf("1e-20")
+
+
+def test_identity_holds_at_larger_x():
+    # the outer alternating sum cancels in floating point (by ~13 digits at
+    # x = 80, lam = -1): its x-proportional guard digits, spent both on the
+    # working precision and on each J_{k,k}, must keep the difference below
+    # the target
+    _, _, diff = humbert_identity_check(30, "1/4", 120)
+    with mp.workdps(50):
+        assert diff <= mp.mpf("1e-20")
+    _, _, diff = humbert_identity_check(80, -1, 200, target_digits=40)
+    with mp.workdps(50):
+        assert diff <= mp.mpf("1e-40")
 
 
 def test_identity_collapses_at_minus_one():
