@@ -185,24 +185,31 @@ def _residual_target_digits(x):
     return ceil(0.8 * float(to_mpf(x, 30))) + 12
 
 
+def residual_dps(n, x):
+    """Least parameter precision at which ``residual_F`` resolves the e^(-x) level.
+
+    That level lies (1 + cos(pi/n)) x / ln 10 digits below the dominant one;
+    10 digits are kept spare.
+    """
+    return ceil((1 + cos(pi / n)) * float(to_mpf(x, 30)) / log(10)) + 10
+
+
 def residual_F(params, x, j0, dps=None):
     """F_n(x) minus the dominant expansion summed through index j0 (inclusive).
 
     This is the numerically extracted exponentially small residual; compare it
     with ``subdominant_series`` (plus the intermediate level for n = 5).  The
-    dominant sum uses coefficients at ``params.dps`` digits, and the e^(-x)
-    level lies (1 + cos(pi/n)) x / ln 10 digits below it, so
-    PrecisionInsufficient is raised when ``params.dps`` falls short of that
-    plus 10 digits.
+    dominant sum uses coefficients at ``params.dps`` digits, so
+    PrecisionInsufficient is raised when ``params.dps`` is below
+    ``residual_dps(params.n, x)``.
     """
     if j0 < 0:
         raise ValueError("truncation index must be non-negative")
-    xf = float(to_mpf(x, 30))
-    needed = ceil((1 + cos(pi / params.n)) * xf / log(10)) + 10
+    needed = residual_dps(params.n, x)
     if params.dps < needed:
         raise PrecisionInsufficient(
-            f"residual at x = {xf:.6g} needs parameters at {needed} digits or more "
-            f"to resolve the e^(-x) level, got {params.dps}")
+            f"residual at x = {float(to_mpf(x, 30)):.6g} needs parameters at {needed} digits "
+            f"or more to resolve the e^(-x) level, got {params.dps}")
     target = _residual_target_digits(x)
     working = check_dps(dps) if dps is not None else auto_series_dps(target)
     base = series_eval(params, x, target_digits=target, dps=working)

@@ -61,6 +61,9 @@ def _resolve_order(n3, n4, n5, humbert):
     return chosen[0]
 
 
+_ORDERS = {"--n3": 3, "--n4": 4, "--n5": 5}
+
+
 def _build_params(mode, a, b, precision):
     if mode == "--n3":
         if a is None or b is None:
@@ -68,13 +71,11 @@ def _build_params(mode, a, b, precision):
         bs = (_parse_fraction(a, "-a"),) + _parse_b_option(b)
         if len(bs) != 2:
             raise click.UsageError("--n3 takes scalar -a and -b")
-        n = 3
     else:
         if b is None or a is not None:
             raise click.UsageError(f"{mode} needs a comma-separated -b list (and no -a)")
         bs = _parse_b_option(b)
-        n = {"--n4": 4, "--n5": 5}[mode]
-    return derive_params(n, bs, precision=precision or DEFAULT_DPS)
+    return derive_params(_ORDERS[mode], bs, precision=precision or DEFAULT_DPS)
 
 
 def _parse_x_values(x, x_range):
@@ -260,13 +261,19 @@ def cmd_coeffs(n3, n4, n5, a, b, m_count, method, precision, fmt, output):
 @output_option
 @_numeric_errors
 def cmd_residual(n3, n4, n5, a, b, x, j0, precision, fmt, output):
-    """Compare the numerically extracted residual with the exponentially small expansion."""
+    """Compare the numerically extracted residual with the exponentially small expansion.
+
+    Without --precision (or the environment override) the parameters are
+    built at the precision the residual needs at this x.
+    """
     precision = _default_dps(precision)
     mode = _resolve_order(n3, n4, n5, False)
-    params = _build_params(mode, a, b, precision)
     xv = _parse_fraction(x, "--x")
     if xv <= 0:
         raise click.UsageError("residual analysis needs x > 0")
+    if precision is None:
+        precision = max(DEFAULT_DPS, asym.residual_dps(_ORDERS[mode], xv))
+    params = _build_params(mode, a, b, precision)
     table = coeffs_mod.stirling_matching_coeffs(params, max(40, int(2 * xv) + 16))
     if j0 == "auto":
         j0_val = asym.optimal_truncation_index(table, xv)

@@ -32,11 +32,12 @@ from fractions import Fraction
 from math import comb
 
 from mpmath import mp
+from mpmath.libmp import fone
 
 from .errors import (CancellationFailure, OrderUnsupported, SeriesLengthInsufficient,
                      SingularRineyWeights)
 from .params import ExpansionParams
-from .powerseries import PowerSeries1OverS, reciprocal_linear
+from .powerseries import PowerSeries1OverS, _dot, reciprocal_linear
 from .precision import DEFAULT_DPS, to_mpf
 
 #: extra series orders beyond M kept by the matching engine
@@ -109,24 +110,31 @@ def _log_gamma_series(scale, shift, length, dps):
     and every factor is expanded through order s^(-length).
     """
     with mp.workdps(dps):
+        prec = mp.prec
         c = to_mpf(scale, dps)
         d = to_mpf(shift, dps)
         dc = d / c
+        powers = [dc ** m for m in range(length + 2)]
         tail = [mp.mpf(0)] * (length + 1)
         tail[0] = (d - mp.mpf(1) / 2) * mp.log(c) + mp.log(2 * mp.pi) / 2
         # (c*s + d - 1/2) * ln(1 + d/(c*s)), collected by power of 1/s
         for j in range(1, length + 1):
-            tail[j] += c * (-1) ** j * dc ** (j + 1) / (j + 1)
-            tail[j] += (d - mp.mpf(1) / 2) * (-1) ** (j + 1) * dc ** j / j
-        # Bernoulli tail: sum_k B_{2k} / (2k(2k-1) (c*s+d)^{2k-1})
-        k = 1
-        while 2 * k - 1 <= length:
-            b2k = bernoulli_number(2 * k)
-            coef = to_mpf(b2k, dps) / (2 * k * (2 * k - 1)) / c ** (2 * k - 1)
-            p = 2 * k - 1
-            for m2 in range(0, length - p + 1):
-                tail[p + m2] += coef * (-1) ** m2 * comb(p + m2 - 1, m2) * dc ** m2
-            k += 1
+            tail[j] += c * (-1) ** j * powers[j + 1] / (j + 1)
+            tail[j] += (d - mp.mpf(1) / 2) * (-1) ** (j + 1) * powers[j] / j
+        # Bernoulli tail: sum_k B_{2k} / (2k(2k-1) (c*s+d)^{2k-1}); the p = 2k-1 term
+        # adds coef_p (-1)^(t-p) C(t-1, t-p) (d/c)^(t-p) at order t >= p
+        coefs = {2 * k - 1: (to_mpf(bernoulli_number(2 * k), dps) / (2 * k * (2 * k - 1))
+                             / c ** (2 * k - 1))._mpf_
+                 for k in range(1, (length + 1) // 2 + 1)}
+        raw_powers = [v._mpf_ for v in powers]
+        for t in range(1, length + 1):
+            xs = [tail[t]._mpf_]
+            ys = [fone]
+            for p in range(1, t + 1, 2):
+                sign, man, exp, bc = coefs[p]
+                xs.append((sign ^ ((t - p) & 1), man * comb(t - 1, t - p), exp, bc))
+                ys.append(raw_powers[t - p])
+            tail[t] = mp.make_mpf(_dot(xs, ys, prec))
         return _LogGammaAsym(c, c * mp.log(c) - c, d - mp.mpf(1) / 2,
                              PowerSeries1OverS(tuple(tail), dps))
 
@@ -172,19 +180,23 @@ def _stirling_matching_cached(params, M, L):
     series = _log_ratio_series(params, L, work)
     r = series.exp()
     with mp.workdps(work):
-        c = [mp.mpf(1)]
+        prec = mp.prec
         q = PowerSeries1OverS.constant(1, L, work)
         q_rows = [q]
         for j in range(1, M):
             q = _pochhammer_reciprocal_series(n, params.theta_prime, j, q, L, work)
             q_rows.append(q)
-        for m in range(1, M):
-            acc = r[m]
-            for j in range(1, m):
-                acc -= c[j] * q_rows[j][m]
-            c.append(acc / q_rows[m][m])
+    # c_m = (r_m - sum_{0<j<m} c_j q_j[m]) / q_m[m], each rounded once
+    c = [fone]
+    neg_c = []
+    for m in range(1, M):
+        xs = [r[m]._mpf_] + neg_c
+        ys = [fone] + [q_rows[j][m]._mpf_ for j in range(1, m)]
+        c.append(_dot(xs, ys, prec, q_rows[m][m]._mpf_))
+        sign, man, exp, bc = c[-1]
+        neg_c.append((sign ^ 1, man, exp, bc))
     with mp.workdps(params.dps):
-        return tuple(+cj for cj in c)
+        return tuple(+mp.make_mpf(cj) for cj in c)
 
 
 def stirling_matching_coeffs(params, M, L=None):

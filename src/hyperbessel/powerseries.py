@@ -5,16 +5,55 @@
     r0 + r1/s + r2/s^2 + ... + rL/s^L.
 
 All operations truncate at the common length L and are exact through order
-s^(-L) for exact inputs; coefficient arithmetic is carried out at ``dps``
-decimal digits.  This is the workhorse behind the gamma-ratio coefficient
+s^(-L) for exact inputs.  Products and ``exp`` form each output coefficient
+as an exact sum of exact products, rounded once to ``dps`` decimal digits
+(``_dot``).  This is the workhorse behind the gamma-ratio coefficient
 engine.
 """
 
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, fone, from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 from .precision import check_dps, to_mpf
+
+
+def _dot(xs, ys, prec, divisor=None):
+    """sum_i x_i y_i over raw mpf tuples (sign, man, exp, bc), rounded once.
+
+    Each product is an exact integer; the products are summed exactly in one
+    Python int aligned to the smallest exponent, and only that sum is rounded,
+    to ``prec`` bits, to nearest.  With ``divisor`` (a raw mpf) the result is
+    the exact sum divided by it, still rounded once.  ``bc`` is not read, so a
+    caller may fold an integer factor or a sign into a tuple's mantissa or
+    sign.  Inputs must be finite.
+    """
+    total = 0
+    low = None
+    for (sx, mx, ex, _), (sy, my, ey, _) in zip(xs, ys):
+        if not (mx and my):
+            if (ex and not mx) or (ey and not my):
+                raise ValueError("_dot needs finite inputs")
+            continue
+        m = -mx * my if sx != sy else mx * my
+        e = ex + ey
+        if low is None:
+            total, low = m, e
+        elif e >= low:
+            total += m << (e - low)
+        else:
+            total = (total << (low - e)) + m
+            low = e
+    if low is None:
+        return fzero
+    if divisor is None:
+        return from_man_exp(total, low, prec, round_nearest)
+    return mpf_div(from_man_exp(total, low), divisor, prec, round_nearest)
+
+
+def _raw(values):
+    return [v._mpf_ for v in values]
 
 
 @dataclass(frozen=True)
@@ -33,6 +72,10 @@ class PowerSeries1OverS:
             c = [mp.mpf(0)] * (length + 1)
             c[0] = to_mpf(value, dps)
             return cls(tuple(c), dps)
+
+    @classmethod
+    def _from_raw(cls, raw, dps):
+        return cls(tuple(mp.make_mpf(v) for v in raw), dps)
 
     @property
     def length(self):
@@ -71,17 +114,13 @@ class PowerSeries1OverS:
             return self.scale(other)
         self._check_compatible(other)
         dps = self._binary_dps(other)
+        prec = dps_to_prec(dps)
         L = self.length
-        with mp.workdps(dps):
-            out = [mp.mpf(0)] * (L + 1)
-            for i, ai in enumerate(self.coeffs):
-                if ai == 0:
-                    continue
-                for j in range(L + 1 - i):
-                    bj = other.coeffs[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
-            return PowerSeries1OverS(tuple(out), dps)
+        a = _raw(self.coeffs)
+        b = _raw(reversed(other.coeffs))
+        # out[k] = sum_i a[i] b[k-i]; b[k-i] sits at L-k+i in the reversed list
+        return PowerSeries1OverS._from_raw([_dot(a[:k + 1], b[L - k:], prec)
+                                            for k in range(L + 1)], dps)
 
     __rmul__ = __mul__
 
@@ -92,18 +131,13 @@ class PowerSeries1OverS:
         """
         if self.coeffs[0] != 0:
             raise ValueError("exp requires a vanishing constant term")
-        L = self.length
-        with mp.workdps(self.dps):
-            g = [mp.mpf(0)] * (L + 1)
-            g[0] = mp.mpf(1)
-            for m in range(1, L + 1):
-                acc = mp.mpf(0)
-                for k in range(1, m + 1):
-                    fk = self.coeffs[k]
-                    if fk != 0:
-                        acc += k * fk * g[m - k]
-                g[m] = acc / m
-            return PowerSeries1OverS(tuple(g), self.dps)
+        prec = dps_to_prec(self.dps)
+        # k f_k is exact: k multiplies the mantissa
+        kf = [(s, k * man, e, bc) for k, (s, man, e, bc) in enumerate(_raw(self.coeffs))]
+        g = [fone]
+        for m in range(1, self.length + 1):
+            g.append(_dot(kf[1:m + 1], g[m - 1::-1], prec, from_int(m)))
+        return PowerSeries1OverS._from_raw(g, self.dps)
 
 
 def reciprocal_linear(c, scale, length, dps):

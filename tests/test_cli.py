@@ -175,6 +175,20 @@ def test_residual_n4_with_negative_parameter(runner):
         assert abs(mp.mpf(row["exp_small"]) - mp.mpf("8.56645e-6")) <= mp.mpf("1e-10")
 
 
+def test_residual_works_out_its_precision_at_large_x(runner):
+    # the e^(-x) level at x = 70 lies 46 digits below F_3; 50-digit parameters miss it
+    args = ["residual", "--n3", "-a", "4/3", "-b", "1/4", "--x", "70", "--format", "csv"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    with mp.workdps(40):
+        assert mp.mpf(rows_of(res.stdout)[0]["rel_difference"]) < mp.mpf("1e-7")
+    # an explicit precision is kept, and refused
+    for res in (runner.invoke(main, args + ["--precision", "50"]),
+                runner.invoke(main, args, env={"HYPERBESSEL_DPS": "50"})):
+        assert res.exit_code == 1
+        assert "PrecisionInsufficient" in res.output and "56 digits" in res.output
+
+
 def test_tables_command(runner):
     res = runner.invoke(main, ["tables", "--table", "1"])
     assert res.exit_code == 0

@@ -123,6 +123,19 @@ def test_stirling_handles_riney_singular_points():
         assert abs(t[1] - mp.mpf(1) / 3) <= mp.mpf("1e-45")
 
 
+@pytest.mark.parametrize("n, bs", [(3, ("1/6", "3/4")), (4, ("1/3", "2/3", "7/6")),
+                                   (5, ("-1/3", "1/4", "3/4", "3/2"))])
+def test_stirling_coefficients_within_one_ulp(n, bs):
+    # the same engine 60 digits finer, rounded to dps, is the reference
+    M, dps = 40, 50
+    got = stirling_matching_coeffs(derive_params(n, bs, precision=dps), M).c
+    fine = stirling_matching_coeffs(derive_params(n, bs, precision=dps + 60), M).c
+    with mp.workdps(dps):
+        for u, v in zip(got, fine):
+            ref = +v
+            assert abs(u - ref) <= mp.ldexp(1, mp.mag(ref) - mp.prec)
+
+
 def test_series_guard_enforced():
     p = derive_params(3, ("2/3", "5/6"))
     with pytest.raises(SeriesLengthInsufficient):

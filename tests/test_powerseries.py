@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import fnan, fone, from_man_exp, from_rational, round_nearest
 
 from hyperbessel import PowerSeries1OverS
-from hyperbessel.powerseries import reciprocal_linear
+from hyperbessel.powerseries import _dot, reciprocal_linear
+from hyperbessel.precision import to_fraction
 
 
 def frac_series(fracs, dps=50):
@@ -13,16 +17,44 @@ def frac_series(fracs, dps=50):
         return PowerSeries1OverS(tuple(mp.mpf(f.numerator) / f.denominator for f in fracs), dps)
 
 
+def rounded_once(value, prec):
+    """The raw mpf nearest to the exact rational ``value`` at ``prec`` bits."""
+    return from_rational(value.numerator, value.denominator, prec, round_nearest)
+
+
 def test_mul_matches_exact_rational_product():
-    f = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)]
-    g = [Fraction(2), Fraction(0), Fraction(5, 4), Fraction(-1, 6)]
-    L = 3
-    want = [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(L + 1)]
-    prod = frac_series(f) * frac_series(g)
+    # each coefficient is the exact convolution of the (rounded) inputs, rounded once
+    fs = frac_series([Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)])
+    gs = frac_series([Fraction(2), Fraction(0), Fraction(5, 4), Fraction(-1, 6)])
+    f, g = ([to_fraction(v) for v in s.coeffs] for s in (fs, gs))
+    prod = fs * gs
     with mp.workdps(50):
-        for k in range(L + 1):
-            w = mp.mpf(want[k].numerator) / want[k].denominator
-            assert abs(prod[k] - w) <= abs(w or 1) * mp.mpf("1e-48")
+        for k in range(4):
+            want = sum(f[i] * g[k - i] for i in range(k + 1))
+            assert prod[k]._mpf_ == rounded_once(want, mp.prec)
+
+
+finite_mpf = st.builds(from_man_exp, st.integers(-2 ** 200, 2 ** 200), st.integers(-300, 300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(finite_mpf, finite_mpf), max_size=10),
+       mirrored=st.integers(0, 10), prec=st.integers(8, 400),
+       divisor=st.none() | finite_mpf.filter(lambda v: v[1] != 0))
+def test_dot_is_the_exact_sum_rounded_once(pairs, mirrored, prec, divisor):
+    # mirroring a prefix with the sign flipped cancels it exactly; all of it gives 0
+    pairs += [((1 - x[0],) + x[1:], y) for x, y in pairs[:mirrored]]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    exact = sum((to_fraction(mp.make_mpf(x)) * to_fraction(mp.make_mpf(y)) for x, y in pairs),
+                Fraction(0))
+    if divisor is not None:
+        exact /= to_fraction(mp.make_mpf(divisor))
+    assert _dot(xs, ys, prec, divisor) == rounded_once(exact, prec)
+
+
+def test_dot_refuses_non_finite_inputs():
+    with pytest.raises(ValueError):
+        _dot([fone, fnan], [fone, fone], 53)
 
 
 def test_exp_of_single_pole_term():
