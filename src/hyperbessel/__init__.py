@@ -15,8 +15,7 @@ from .coeffs import (CoeffTable, bernoulli_number, closed_form_c123, general_c1,
                      riney_coeffs, stirling_matching_coeffs)
 from .errors import (ArityMismatch, CancellationFailure, CoeffShortfall, DomainError,
                      HyperBesselError, NoMinimumDetected, OrderUnsupported, PoleParameter,
-                     PrecisionInsufficient, SeriesLengthInsufficient, SingularRineyWeights,
-                     TailNotConverged)
+                     PrecisionInsufficient, SingularRineyWeights, TailNotConverged)
 from .params import ExpansionParams, derive_params
 from .powerseries import PowerSeries1OverS
 from .reference import (ClosedFormCase, EvalResult, closed_form_eval, humbert_J,
@@ -31,7 +30,7 @@ __all__ = [
     "CoeffShortfall", "CoeffTable", "DomainError", "EvalResult", "ExpansionParams",
     "HyperBesselError", "NoMinimumDetected", "OrderUnsupported",
     "PoleParameter", "PowerSeries1OverS", "PrecisionInsufficient",
-    "SeriesLengthInsufficient", "SingularRineyWeights", "TableReport", "TableRow",
+    "SingularRineyWeights", "TableReport", "TableRow",
     "TailNotConverged", "bernoulli_number", "closed_form_c123", "closed_form_eval",
     "compound_eval", "derive_params", "dominant_series", "exp_small_optimal",
     "general_c1", "humbert_J", "humbert_identity_check", "intermediate_series_n5",

@@ -72,7 +72,8 @@ def _check_args(params, coeffs, x, M, dps):
 def _level_series(level, params, coeffs, x, M, dps):
     """One exponential level truncated after M terms (j = 0..M-1).
 
-    ``error_estimate`` is the first omitted term, |prefactor * w| |c_M| x^(-M).
+    ``error_estimate`` is the first omitted term, |prefactor * w| |c_M| x^(-M),
+    plus the rounding floor 10^(1-dps) |value|.
     """
     k = _ANGLES[params.n].get(level)
     if k is None:
@@ -92,9 +93,11 @@ def _level_series(level, params, coeffs, x, M, dps):
             phase *= step
         trace = tuple(abs(coeffs[j]) * xm ** (-j) for j in range(M))
         omitted = abs(coeffs[M]) * xm ** (-M) if M < len(coeffs) else trace[-1]
-        return EvalResult(value=pref * total, method=METHOD_ASYMPTOTIC, terms_used=M,
-                          max_term_magnitude=max(trace),
-                          error_estimate=abs(pref * w) * omitted, term_trace=trace)
+        value = pref * total
+        # where the expansion terminates, c_M vanishes and only the rounding remains
+        error = abs(pref * w) * omitted + mp.mpf(10) ** (1 - working) * abs(value)
+        return EvalResult(value=value, method=METHOD_ASYMPTOTIC, terms_used=M,
+                          max_term_magnitude=max(trace), error_estimate=error, term_trace=trace)
 
 
 def dominant_series(params, coeffs, x, M, dps=None):
@@ -157,8 +160,9 @@ def compound_eval(params, x, truncation=OPTIMAL, dps=None):
 
     ``truncation`` is either ``"optimal"`` (least-term index, one shared index
     since all levels carry the same |c_j| x^(-j) trace) or an integer M (use
-    exactly M terms per level).  ``error_estimate`` is the magnitude of the
-    first omitted dominant term, prefactor included.
+    exactly M terms per level).  ``error_estimate`` is the dominant level's:
+    the magnitude of its first omitted term, prefactor included, plus its
+    rounding floor.
     """
     table, j0 = _table_for(params, x, truncation)
     m_used = j0 + 1

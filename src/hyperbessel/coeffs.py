@@ -22,11 +22,16 @@ with c_0 = 1.  Two algorithms are provided:
   with b_1 = a, b_2 = b, b_3 = 1 and weights D_r that are singular at a = b,
   a = 1 or b = 1 (``SingularRineyWeights``).
 
+Both engines keep the longest table built so far for each recently used
+parameter set and answer shorter requests with its prefix (``_TableStore``).
+
 Closed forms for c_1..c_3 (n = 3) and the general-order c_1 are also exposed;
 they serve as independent cross-checks of both engines.
 """
 
 import functools
+import logging
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -34,14 +39,12 @@ from math import comb
 from mpmath import mp
 from mpmath.libmp import fone
 
-from .errors import (CancellationFailure, OrderUnsupported, SeriesLengthInsufficient,
-                     SingularRineyWeights)
+from .errors import CancellationFailure, OrderUnsupported, SingularRineyWeights
 from .params import ExpansionParams
 from .powerseries import PowerSeries1OverS, _dot, reciprocal_linear
 from .precision import DEFAULT_DPS, to_mpf
 
-#: extra series orders beyond M kept by the matching engine
-SERIES_GUARD = 8
+logger = logging.getLogger(__name__)
 
 #: digits assumed lost to the mildly conditioned triangular solve
 EST_DIGITS_MARGIN = 10
@@ -170,13 +173,42 @@ def _pochhammer_reciprocal_series(n, theta_prime, j, previous, length, dps):
     return previous * reciprocal_linear(to_mpf(theta_prime, dps) + (j - 1), n, length, dps)
 
 
-@functools.lru_cache(maxsize=64)
-def _stirling_matching_cached(params, M, L):
-    # Guard digits: the triangular solve multiplies by n^m at order m and the
-    # matched sums cancel mildly; working above params.dps keeps the delivered
-    # digits at full requested precision.
-    work = params.dps + 10 + M // 2
+class _TableStore:
+    """The longest coefficient table built so far, per engine, for each of the
+    ``size`` most recently used parameter sets.
+
+    A request for M coefficients is answered with exactly the first M of the
+    stored table.  Only a longer request builds, and its table then replaces
+    the stored one, so an x-range evaluated for one parameter set builds once
+    per new maximum M.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self._tables = OrderedDict()    # params -> {engine: c}
+
+    def prefix(self, engine, params, M, work, build):
+        """c_0..c_{M-1}, built by ``build(params, M, work)`` if nothing stored covers M."""
+        tables = self._tables.get(params, {})
+        c = tables.get(engine, ())
+        if len(c) < M:
+            logger.debug("%s table build: %s, M = %d at %d working digits, replacing %d "
+                         "coefficients", engine, params.describe(), M, work, len(c))
+            c = tables[engine] = build(params, M, work)
+        self._tables[params] = tables
+        self._tables.move_to_end(params)
+        if len(self._tables) > self.size:
+            self._tables.popitem(last=False)
+        return c[:M]
+
+
+_TABLES = _TableStore(64)
+
+
+def _stirling_build(params, M, work):
     n = params.n
+    # the solve for c_0..c_{M-1} reads every series through order M - 1 only
+    L = M - 1
     series = _log_ratio_series(params, L, work)
     r = series.exp()
     with mp.workdps(work):
@@ -199,19 +231,20 @@ def _stirling_matching_cached(params, M, L):
         return tuple(+mp.make_mpf(cj) for cj in c)
 
 
-def stirling_matching_coeffs(params, M, L=None):
+def stirling_matching_coeffs(params, M):
     """Coefficients c_0..c_{M-1} by gamma-asymptotics matching (any valid params).
 
-    ``L`` is the formal series length; it defaults to M + 8 and must leave at
-    least that guard (``SeriesLengthInsufficient`` otherwise).
+    The log-gamma, exp and reciprocal-Pochhammer series are built through
+    order M - 1, the last order the triangular solve reads, at
+    ``params.dps + 10 + M // 2`` working digits (the solve multiplies by n^m
+    at order m and its sums cancel mildly), and each c_j is rounded once to
+    ``params.dps``.  The table is kept per parameter set (see ``_TableStore``),
+    so a request no longer than one already built is answered by its prefix.
     """
     if M < 1:
         raise ValueError("need at least one coefficient")
-    if L is None:
-        L = M + SERIES_GUARD
-    if L < M + SERIES_GUARD:
-        raise SeriesLengthInsufficient(f"series length {L} < M + {SERIES_GUARD} = {M + SERIES_GUARD}")
-    c = _stirling_matching_cached(params, int(M), int(L))
+    M = int(M)
+    c = _TABLES.prefix("stirling", params, M, params.dps + 10 + M // 2, _stirling_build)
     return CoeffTable(params=params, c=c, method="stirling", est_digits=params.dps - EST_DIGITS_MARGIN)
 
 
@@ -220,9 +253,7 @@ def _riney_singularity_gap(params):
     return min(abs(a - b), abs(1 - a), abs(1 - b))
 
 
-@functools.lru_cache(maxsize=64)
-def _riney_cached(params, M):
-    work = params.dps + 10
+def _riney_build(params, M, work):
     with mp.workdps(work):
         a, b = (to_mpf(v, work) for v in params.b_list)
         theta_prime = to_mpf(params.theta_prime, work)
@@ -262,7 +293,7 @@ def riney_coeffs(params, M):
         raise SingularRineyWeights(
             f"weights singular or near-singular for {params.describe()} (gap {gap}); "
             "use stirling_matching_coeffs")
-    c = _riney_cached(params, int(M))
+    c = _TABLES.prefix("riney", params, int(M), params.dps + 10, _riney_build)
     return CoeffTable(params=params, c=c, method="riney", est_digits=params.dps - EST_DIGITS_MARGIN)
 
 

@@ -182,6 +182,18 @@ def test_compound_matches_series():
         assert err <= 30 * c.error_estimate
 
 
+@pytest.mark.parametrize("n, bs, x", [(3, ("4/3", "2/3"), F(252, 25)),
+                                      (4, ("9/4", "5/2", "-1/4"), F(4659, 500))])
+def test_terminating_expansion_estimate_covers_rounding(n, bs, x):
+    # c_j vanish past a few terms here, so the first omitted term is rounding
+    # noise; the estimate must still cover the value's own rounding
+    p = derive_params(n, bs)
+    c = compound_eval(p, x)
+    s = series_eval(p, x, target_digits=60)
+    with mp.workdps(80):
+        assert abs(c.value - s.value) <= c.error_estimate
+
+
 def test_compound_matches_series_n4_generic():
     p = derive_params(4, ("-1/4", "1/2", "5/8"), precision=60)
     c = compound_eval(p, 18, dps=60)

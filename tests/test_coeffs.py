@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from hyperbessel import (OrderUnsupported, SeriesLengthInsufficient, SingularRineyWeights,
-                         bernoulli_number, closed_form_c123, derive_params, general_c1,
+from hyperbessel import (OrderUnsupported, SingularRineyWeights, bernoulli_number,
+                         closed_form_c123, compound_eval, derive_params, general_c1,
                          riney_coeffs, stirling_matching_coeffs)
+from hyperbessel import coeffs
 from hyperbessel.verify import fixture_rows
 
 F = Fraction
@@ -136,12 +138,6 @@ def test_stirling_coefficients_within_one_ulp(n, bs):
             assert abs(u - ref) <= mp.ldexp(1, mp.mag(ref) - mp.prec)
 
 
-def test_series_guard_enforced():
-    p = derive_params(3, ("2/3", "5/6"))
-    with pytest.raises(SeriesLengthInsufficient):
-        stirling_matching_coeffs(p, 10, L=12)
-
-
 def test_cancellation_check_guards_inconsistent_params():
     # an ExpansionParams with theta inconsistent with sigma breaks the exact
     # cancellation of the log/constant terms, and the engine must notice
@@ -239,3 +235,74 @@ def test_coeff_table_metadata(table1_params, table1_stirling, table1_riney):
     mags = table1_stirling.term_magnitudes(10)
     with mp.workdps(50):
         assert abs(mags[2] - abs(table1_stirling[2]) / 100) <= mp.mpf("1e-45")
+
+
+def _builds(caplog):
+    """The table builds logged so far (cache hits log nothing)."""
+    return [r.getMessage() for r in caplog.records if "table build" in r.getMessage()]
+
+
+def test_shorter_request_is_served_by_the_stored_prefix(caplog):
+    p = derive_params(3, ("7/12", "13/12"), precision=53)
+    with caplog.at_level(logging.DEBUG, logger="hyperbessel.coeffs"):
+        long = stirling_matching_coeffs(p, 30)
+        assert len(_builds(caplog)) == 1
+        short = stirling_matching_coeffs(p, 21)
+        assert len(_builds(caplog)) == 1
+    assert len(short) == 21 and short.c == long.c[:21]
+
+
+def test_longer_request_builds_and_replaces_the_stored_table(caplog):
+    p = derive_params(4, ("5/12", "3/4", "7/6"), precision=53)
+    with caplog.at_level(logging.DEBUG, logger="hyperbessel.coeffs"):
+        stirling_matching_coeffs(p, 20)
+        longer = stirling_matching_coeffs(p, 30)
+        again = stirling_matching_coeffs(p, 25)
+    builds = _builds(caplog)
+    assert len(builds) == 2
+    assert builds[0].startswith("stirling table build: " + p.describe())
+    assert builds[0].endswith(f"M = 20 at {53 + 10 + 10} working digits, replacing 0 coefficients")
+    assert builds[1].endswith(f"M = 30 at {53 + 10 + 15} working digits, replacing 20 coefficients")
+    assert len(longer) == 30 and again.c == longer.c[:25]
+
+
+def test_least_recently_used_params_are_evicted(caplog):
+    size = coeffs._TABLES.size
+    sets = [derive_params(3, (F(k, 997), F(1, 7)), precision=51) for k in range(1, size + 2)]
+    with caplog.at_level(logging.DEBUG, logger="hyperbessel.coeffs"):
+        for p in sets[:size]:
+            stirling_matching_coeffs(p, 2)
+        stirling_matching_coeffs(sets[0], 2)           # now the most recently used
+        assert len(_builds(caplog)) == size
+        stirling_matching_coeffs(sets[size], 2)        # evicts sets[1]
+        stirling_matching_coeffs(sets[0], 2)
+        assert len(_builds(caplog)) == size + 1
+        stirling_matching_coeffs(sets[1], 2)
+        assert len(_builds(caplog)) == size + 2
+
+
+def test_riney_prefix_is_a_fresh_build(caplog):
+    # the recurrence works at dps + 10 whatever M is, so a prefix is the same bits
+    p = derive_params(3, ("5/12", "11/6"), precision=57)
+    with caplog.at_level(logging.DEBUG, logger="hyperbessel.coeffs"):
+        long = riney_coeffs(p, 40)
+        short = riney_coeffs(p, 23)
+    assert [b.split(", M = ")[1] for b in _builds(caplog)] == [
+        "40 at 67 working digits, replacing 0 coefficients"]
+    assert short.c == long.c[:23] == coeffs._riney_build(p, 23, p.dps + 10)
+
+
+def test_compound_eval_does_not_depend_on_the_order_x_is_visited(monkeypatch):
+    # an x-range evaluated downward then upward is served by prefixes of the
+    # largest table; each x must come out as from a fresh table of its own M
+    grid = [F(8) + F(k, 2) for k in range(13)]
+    for n, bs in [(3, ("2/3", "5/6")), (5, ("1/3", "1/2", "2/3", "5/4"))]:
+        p = derive_params(n, bs)
+        swept = {}
+        for x in grid[::-1] + grid:
+            r = compound_eval(p, x)
+            swept.setdefault(x, set()).add((r.value, r.terms_used))
+        for x in grid:
+            monkeypatch.setattr(coeffs, "_TABLES", coeffs._TableStore(coeffs._TABLES.size))
+            r = compound_eval(p, x)
+            assert swept[x] == {(r.value, r.terms_used)}
