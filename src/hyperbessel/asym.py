@@ -223,15 +223,12 @@ def residual_F(params, x, j0, dps=None):
         return base.value - dom.value
 
 
-def exp_small_optimal(params, x, table=None, dps=None):
-    """All below-dominant levels at their least term (the residual's counterpart).
+def exp_small_optimal(params, x, table, dps=None):
+    """All below-dominant levels at their least term over ``table`` (the residual's counterpart).
 
     For n = 3 and n = 4 this is just the subdominant expansion; for n = 5 it
     also includes the middle exponential level.  Returns (value, index).
     """
-    if table is None:
-        table, j0 = _table_for(params, x, OPTIMAL)
-    else:
-        j0 = optimal_truncation_index(table, x)
+    j0 = optimal_truncation_index(table, x)
     working = check_dps(dps) if dps is not None else params.dps
     return _exp_small(params, table, x, j0 + 1, working), j0

@@ -18,7 +18,7 @@ from mpmath import mp
 from . import asym, coeffs as coeffs_mod, verify
 from .errors import HyperBesselError
 from .params import derive_params
-from .precision import DEFAULT_DPS, to_mpf
+from .precision import DEFAULT_DPS, MIN_DPS, to_mpf
 from .reference import humbert_J, series_eval
 
 ENV_DPS = "HYPERBESSEL_DPS"
@@ -50,7 +50,12 @@ def _default_dps(precision):
     if precision is not None:
         return precision
     env = os.environ.get(ENV_DPS)
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return _DPS.convert(env, None, None)
+    except click.BadParameter as exc:
+        raise click.UsageError(f"{ENV_DPS}: {exc.message}")
 
 
 def _resolve_order(n3, n4, n5, humbert):
@@ -129,7 +134,29 @@ def _xstr(xv):
     return mp.nstr(to_mpf(xv, 30), 15, strip_zeros=True)
 
 
-precision_option = click.option("--precision", "-p", type=int, default=None,
+class _KeywordOrInt(click.ParamType):
+    """A fixed keyword, or an integer no less than ``low``."""
+
+    def __init__(self, keyword, low):
+        self.keyword = keyword
+        self.low = low
+        self.name = f"{keyword}|integer"
+
+    def convert(self, value, param, ctx):
+        if value == self.keyword:
+            return value
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        if number is None or number < self.low:
+            self.fail(f"{value!r} is neither {self.keyword!r} nor an integer >= {self.low}", param, ctx)
+        return number
+
+
+_DPS = click.IntRange(min=MIN_DPS)
+
+precision_option = click.option("--precision", "-p", type=_DPS, default=None,
                                 help=f"working precision in decimal digits (default: auto; env {ENV_DPS})")
 format_option = click.option("--format", "-f", "fmt", type=click.Choice(["text", "csv", "json"]),
                              default="text", help="output format")
@@ -155,7 +182,8 @@ def main():
 @click.option("--x-range", default=None, help="range start:stop:step")
 @click.option("--target", type=int, default=20, help="target significant digits")
 @click.option("--method", type=click.Choice(["series", "compound", "both"]), default="series")
-@click.option("--trunc", default="optimal", help="compound truncation: 'optimal' or a term count")
+@click.option("--trunc", type=_KeywordOrInt(asym.OPTIMAL, 1), default=asym.OPTIMAL,
+              help="compound truncation: 'optimal' or a term count")
 @click.option("--scale", type=click.Choice(["none", "exp-half"]), default="none",
               help="report value scaled by e^(-x/2)")
 @precision_option
@@ -170,7 +198,6 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
     xs = _parse_x_values(x, x_range)
     if any(v < 0 for v in xs):
         raise click.UsageError("x must be non-negative")
-    truncation = asym.OPTIMAL if trunc == "optimal" else int(trunc)
 
     if humbert:
         if m_order is None or nu_order is None:
@@ -196,7 +223,7 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
                 else:
                     res = series_eval(params, xv, target_digits=target, dps=precision)
             else:
-                res = asym.compound_eval(params, xv, truncation=truncation, dps=precision)
+                res = asym.compound_eval(params, xv, truncation=trunc, dps=precision)
                 if humbert and power != 0:
                     with mp.workdps(out_dps):
                         factor = (to_mpf(xv, out_dps) / 3) ** to_mpf(power, out_dps)
@@ -217,7 +244,8 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
 @click.option("--n5", is_flag=True)
 @click.option("-a", default=None)
 @click.option("-b", default=None)
-@click.option("-M", "m_count", type=int, default=11, help="number of coefficients c_0..c_{M-1}")
+@click.option("-M", "m_count", type=click.IntRange(min=1), default=11,
+              help="number of coefficients c_0..c_{M-1}")
 @click.option("--method", type=click.Choice(["riney", "stirling", "both"]), default="stirling")
 @precision_option
 @format_option
@@ -255,7 +283,8 @@ def cmd_coeffs(n3, n4, n5, a, b, m_count, method, precision, fmt, output):
 @click.option("-a", default=None)
 @click.option("-b", default=None)
 @click.option("--x", required=True)
-@click.option("--j0", default="auto", help="dominant truncation index (inclusive), or 'auto'")
+@click.option("--j0", type=_KeywordOrInt("auto", 0), default="auto",
+              help="dominant truncation index (inclusive), or 'auto'")
 @precision_option
 @format_option
 @output_option
@@ -275,10 +304,7 @@ def cmd_residual(n3, n4, n5, a, b, x, j0, precision, fmt, output):
         precision = max(DEFAULT_DPS, asym.residual_dps(_ORDERS[mode], xv))
     params = _build_params(mode, a, b, precision)
     table = coeffs_mod.stirling_matching_coeffs(params, max(40, int(2 * xv) + 16))
-    if j0 == "auto":
-        j0_val = asym.optimal_truncation_index(table, xv)
-    else:
-        j0_val = int(j0)
+    j0_val = asym.optimal_truncation_index(table, xv) if j0 == "auto" else j0
     resid = asym.residual_F(params, xv, j0_val)
     es, _ = asym.exp_small_optimal(params, xv, table=table, dps=70)
     with mp.workdps(40):

@@ -8,11 +8,16 @@ The coefficients are defined through
 with c_0 = 1.  Two algorithms are provided:
 
 * ``stirling_matching_coeffs`` (any supported order): expand the logarithm of
-  the gamma ratio above in powers of 1/s via the Stirling series, exponentiate,
-  and solve the triangular system that matches the reciprocal-Pochhammer sum
-  order by order.  The s*log s, s, log s and constant parts must cancel
-  identically; their numerical residue is checked and ``CancellationFailure``
-  is raised if the derived constants are inconsistent.
+  the gamma ratio above in powers of 1/s, exponentiate, and solve the
+  triangular system that matches the reciprocal-Pochhammer sum order by
+  order.  Each coefficient of the logarithm is an exact rational in the
+  Bernoulli polynomials B_{k+1}(theta'), B_{k+1}(1) and B_{k+1}(b_j), formed
+  exactly and rounded once; its s*log s, s, log s and constant parts cancel
+  identically, and ``CancellationFailure`` is raised if theta and theta' are
+  inconsistent with the b_j.  Where the ratio is a constant (the closed-form
+  sets) every c_j, j >= 1, comes out exactly 0.  The longest table built so
+  far is kept for each recently used parameter set, and shorter requests are
+  answered with its prefix (``_TableStore``).
 
 * ``riney_coeffs`` (n = 3 only): the explicit recurrence
 
@@ -21,9 +26,6 @@ with c_0 = 1.  Two algorithms are provided:
 
   with b_1 = a, b_2 = b, b_3 = 1 and weights D_r that are singular at a = b,
   a = 1 or b = 1 (``SingularRineyWeights``).
-
-Both engines keep the longest table built so far for each recently used
-parameter set and answer shorter requests with its prefix (``_TableStore``).
 
 Closed forms for c_1..c_3 (n = 3) and the general-order c_1 are also exposed;
 they serve as independent cross-checks of both engines.
@@ -34,10 +36,10 @@ import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from mpmath import mp
-from mpmath.libmp import fone
+from mpmath.libmp import fone, from_rational, fzero, round_nearest
 
 from .errors import CancellationFailure, OrderUnsupported, SingularRineyWeights
 from .params import ExpansionParams
@@ -88,84 +90,46 @@ def bernoulli_number(m):
     return -acc / (m + 1)
 
 
-@dataclass(frozen=True)
-class _LogGammaAsym:
-    """ln Gamma(scale*s + shift) for s -> +inf, split into symbolic parts.
-
-    Represents  a * s*ln(s) + b * s + c * ln(s) + tail(1/s),
-    where tail includes the constant term.
-    """
-
-    s_log_s: object
-    s_lin: object
-    log_s: object
-    tail: PowerSeries1OverS
-
-    def __sub__(self, other):
-        return _LogGammaAsym(self.s_log_s - other.s_log_s, self.s_lin - other.s_lin,
-                             self.log_s - other.log_s, self.tail - other.tail)
-
-
-def _log_gamma_series(scale, shift, length, dps):
-    """Stirling expansion of ln Gamma(scale*s + shift), re-expanded in 1/s.
-
-    ln(scale*s + shift) is written as ln(scale) + ln(s) + ln(1 + shift/(scale*s))
-    and every factor is expanded through order s^(-length).
-    """
-    with mp.workdps(dps):
-        prec = mp.prec
-        c = to_mpf(scale, dps)
-        d = to_mpf(shift, dps)
-        dc = d / c
-        powers = [dc ** m for m in range(length + 2)]
-        tail = [mp.mpf(0)] * (length + 1)
-        tail[0] = (d - mp.mpf(1) / 2) * mp.log(c) + mp.log(2 * mp.pi) / 2
-        # (c*s + d - 1/2) * ln(1 + d/(c*s)), collected by power of 1/s
-        for j in range(1, length + 1):
-            tail[j] += c * (-1) ** j * powers[j + 1] / (j + 1)
-            tail[j] += (d - mp.mpf(1) / 2) * (-1) ** (j + 1) * powers[j] / j
-        # Bernoulli tail: sum_k B_{2k} / (2k(2k-1) (c*s+d)^{2k-1}); the p = 2k-1 term
-        # adds coef_p (-1)^(t-p) C(t-1, t-p) (d/c)^(t-p) at order t >= p
-        coefs = {2 * k - 1: (to_mpf(bernoulli_number(2 * k), dps) / (2 * k * (2 * k - 1))
-                             / c ** (2 * k - 1))._mpf_
-                 for k in range(1, (length + 1) // 2 + 1)}
-        raw_powers = [v._mpf_ for v in powers]
-        for t in range(1, length + 1):
-            xs = [tail[t]._mpf_]
-            ys = [fone]
-            for p in range(1, t + 1, 2):
-                sign, man, exp, bc = coefs[p]
-                xs.append((sign ^ ((t - p) & 1), man * comb(t - 1, t - p), exp, bc))
-                ys.append(raw_powers[t - p])
-            tail[t] = mp.make_mpf(_dot(xs, ys, prec))
-        return _LogGammaAsym(c, c * mp.log(c) - c, d - mp.mpf(1) / 2,
-                             PowerSeries1OverS(tuple(tail), dps))
-
-
 def _log_ratio_series(params, length, dps):
     """1/s-expansion of ln R(s), R(s) = Gamma(n s + theta') / (n^(n s + 1) A0 Gamma(s+1) prod Gamma(s+b_j)).
 
-    The s*ln s, s, ln s and constant contributions cancel by construction;
-    the numerical residue is verified and zeroed.
+    From ln Gamma(z+a) ~ (z+a-1/2) ln z - z + ln(2 pi)/2
+    + sum_k (-)^(k+1) B_{k+1}(a) / (k(k+1) z^k) (DLMF 5.11.8) the s*ln s, s,
+    ln s and constant parts cancel identically when theta' = 1 - theta and
+    theta = (n-1)/2 - sum b_j, which is checked exactly.  What remains is
+    t_0 = 0 and the exact rationals
+
+        t_k = (-)^(k+1)/(k(k+1)) [B_{k+1}(theta')/n^k - B_{k+1}(1) - sum_j B_{k+1}(b_j)],
+
+    each formed in integers and rounded once to ``dps`` digits.
     """
-    n = params.n
+    n, bs = params.n, params.b_list
+    if params.theta_prime != 1 - params.theta or params.theta != Fraction(n - 1, 2) - sum(bs):
+        raise CancellationFailure(
+            f"log-ratio terms do not cancel for {params.describe()}: need theta' = 1 - theta "
+            f"and theta = (n-1)/2 - sum b_j, got theta' = {params.theta_prime}")
+    # every shift as u/V, so V^(k+1) B_{k+1}(u/V) = sum_i C(k+1, i) B_i V^i u^(k+1-i);
+    # D B_i are integers
+    V = lcm(params.theta_prime.denominator, *(b.denominator for b in bs))
+    u0 = int(params.theta_prime * V)
+    us = [V] + [int(b * V) for b in bs]
+    bern = [bernoulli_number(i) for i in range(length + 2)]
+    D = lcm(*(b.denominator for b in bern))
+    beta = [b.numerator * (D // b.denominator) for b in bern]
+    V_pow = [V ** m for m in range(length + 2)]
+    u0_pow = [u0 ** m for m in range(length + 2)]
+    us_pow = [sum(u ** m for u in us) for m in range(length + 2)]
     with mp.workdps(dps):
-        ln_n = mp.log(n)
-        # ln A0 from the exact rational theta, at full working precision
-        ln_a0 = to_mpf(Fraction(-1, 2) - params.theta, dps) * ln_n - mp.mpf(n - 1) / 2 * mp.log(2 * mp.pi)
-        total = _log_gamma_series(n, params.theta_prime, length, dps)
-        total = _LogGammaAsym(total.s_log_s, total.s_lin - n * ln_n, total.log_s,
-                              total.tail - PowerSeries1OverS.constant(ln_n + ln_a0, length, dps))
-        total = total - _log_gamma_series(1, 1, length, dps)
-        for bj in params.b_list:
-            total = total - _log_gamma_series(1, bj, length, dps)
-        tol = mp.mpf(10) ** (10 - dps) * (1 + abs(ln_a0) + n)
-        residues = (abs(total.s_log_s), abs(total.s_lin), abs(total.log_s), abs(total.tail[0]))
-        if max(residues) > tol:
-            raise CancellationFailure(
-                f"log-ratio terms failed to cancel for {params.describe()}: residues {residues}")
-        tail = (mp.mpf(0),) + total.tail.coeffs[1:]
-        return PowerSeries1OverS(tail, dps)
+        prec = mp.prec
+    tail = [fzero]
+    for k in range(1, length + 1):
+        nk = n ** k
+        # n^k V^(k+1) D times the bracket of t_k
+        num = sum(comb(k + 1, i) * beta[i] * V_pow[i] * (u0_pow[k + 1 - i] - nk * us_pow[k + 1 - i])
+                  for i in range(k + 2) if beta[i])
+        tail.append(from_rational(num if k % 2 else -num, k * (k + 1) * D * nk * V_pow[k + 1],
+                                  prec, round_nearest))
+    return PowerSeries1OverS._from_raw(tail, dps)
 
 
 def _pochhammer_reciprocal_series(n, theta_prime, j, previous, length, dps):
@@ -174,8 +138,8 @@ def _pochhammer_reciprocal_series(n, theta_prime, j, previous, length, dps):
 
 
 class _TableStore:
-    """The longest coefficient table built so far, per engine, for each of the
-    ``size`` most recently used parameter sets.
+    """The longest matching-engine table built so far for each of the ``size``
+    most recently used parameter sets.
 
     A request for M coefficients is answered with exactly the first M of the
     stored table.  Only a longer request builds, and its table then replaces
@@ -185,17 +149,15 @@ class _TableStore:
 
     def __init__(self, size):
         self.size = size
-        self._tables = OrderedDict()    # params -> {engine: c}
+        self._tables = OrderedDict()    # params -> c
 
-    def prefix(self, engine, params, M, work, build):
-        """c_0..c_{M-1}, built by ``build(params, M, work)`` if nothing stored covers M."""
-        tables = self._tables.get(params, {})
-        c = tables.get(engine, ())
+    def prefix(self, params, M, work):
+        """c_0..c_{M-1}, built by ``_stirling_build(params, M, work)`` if nothing stored covers M."""
+        c = self._tables.get(params, ())
         if len(c) < M:
-            logger.debug("%s table build: %s, M = %d at %d working digits, replacing %d "
-                         "coefficients", engine, params.describe(), M, work, len(c))
-            c = tables[engine] = build(params, M, work)
-        self._tables[params] = tables
+            logger.debug("stirling table build: %s, M = %d at %d working digits, replacing %d "
+                         "coefficients", params.describe(), M, work, len(c))
+            c = self._tables[params] = _stirling_build(params, M, work)
         self._tables.move_to_end(params)
         if len(self._tables) > self.size:
             self._tables.popitem(last=False)
@@ -234,7 +196,7 @@ def _stirling_build(params, M, work):
 def stirling_matching_coeffs(params, M):
     """Coefficients c_0..c_{M-1} by gamma-asymptotics matching (any valid params).
 
-    The log-gamma, exp and reciprocal-Pochhammer series are built through
+    The log-ratio, exp and reciprocal-Pochhammer series are built through
     order M - 1, the last order the triangular solve reads, at
     ``params.dps + 10 + M // 2`` working digits (the solve multiplies by n^m
     at order m and its sums cancel mildly), and each c_j is rounded once to
@@ -244,7 +206,7 @@ def stirling_matching_coeffs(params, M):
     if M < 1:
         raise ValueError("need at least one coefficient")
     M = int(M)
-    c = _TABLES.prefix("stirling", params, M, params.dps + 10 + M // 2, _stirling_build)
+    c = _TABLES.prefix(params, M, params.dps + 10 + M // 2)
     return CoeffTable(params=params, c=c, method="stirling", est_digits=params.dps - EST_DIGITS_MARGIN)
 
 
@@ -283,6 +245,8 @@ def riney_coeffs(params, M):
 
     Requires n = 3 and parameters away from the weight singularities
     a = b, a = 1, b = 1 (within 10^(-dps/2)); use the matching engine there.
+    Each call builds afresh at ``params.dps + 10`` working digits, whatever M
+    is, so a shorter table is the same bits as a prefix of a longer one.
     """
     if params.n != 3:
         raise OrderUnsupported("the explicit recurrence is specific to n = 3")
@@ -293,7 +257,7 @@ def riney_coeffs(params, M):
         raise SingularRineyWeights(
             f"weights singular or near-singular for {params.describe()} (gap {gap}); "
             "use stirling_matching_coeffs")
-    c = _TABLES.prefix("riney", params, int(M), params.dps + 10, _riney_build)
+    c = _riney_build(params, int(M), params.dps + 10)
     return CoeffTable(params=params, c=c, method="riney", est_digits=params.dps - EST_DIGITS_MARGIN)
 
 

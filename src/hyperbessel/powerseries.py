@@ -92,26 +92,7 @@ class PowerSeries1OverS:
         if self.length != other.length:
             raise ValueError(f"series lengths differ: {self.length} vs {other.length}")
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        dps = self._binary_dps(other)
-        with mp.workdps(dps):
-            return PowerSeries1OverS(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), dps)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        dps = self._binary_dps(other)
-        with mp.workdps(dps):
-            return PowerSeries1OverS(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), dps)
-
-    def scale(self, factor):
-        with mp.workdps(self.dps):
-            f = to_mpf(factor, self.dps)
-            return PowerSeries1OverS(tuple(f * a for a in self.coeffs), self.dps)
-
     def __mul__(self, other):
-        if not isinstance(other, PowerSeries1OverS):
-            return self.scale(other)
         self._check_compatible(other)
         dps = self._binary_dps(other)
         prec = dps_to_prec(dps)

@@ -103,6 +103,26 @@ def test_eval_usage_errors(runner):
                                 "--x-range", "1:2:1"]).exit_code == 2
     assert runner.invoke(main, ["eval", "--n3", "-a", "1/3", "-b", "2/3",
                                 "--x-range", "1:2:0"]).exit_code == 2
+    # malformed or out-of-range numbers are usage errors, not tracebacks
+    point = ["eval", "--n3", "-a", "1/3", "-b", "2/3", "--x", "10", "--method", "compound"]
+    for extra in (["--trunc", "abc"], ["--trunc", "0"], ["--precision", "10"]):
+        assert runner.invoke(main, point + extra).exit_code == 2
+    for env in ("abc", "10"):
+        assert runner.invoke(main, point, env={"HYPERBESSEL_DPS": env}).exit_code == 2
+
+
+def test_coeffs_usage_errors(runner):
+    args = ["coeffs", "--n3", "-a", "2/3", "-b", "5/6"]
+    for extra in (["-M", "0"], ["-M", "x"], ["--precision", "10"]):
+        assert runner.invoke(main, args + extra).exit_code == 2
+    assert runner.invoke(main, args, env={"HYPERBESSEL_DPS": "abc"}).exit_code == 2
+
+
+def test_residual_usage_errors(runner):
+    args = ["residual", "--n3", "-a", "4/3", "-b", "1/4", "--x", "10"]
+    for extra in (["--j0", "-1"], ["--j0", "abc"], ["--precision", "10"]):
+        assert runner.invoke(main, args + extra).exit_code == 2
+    assert runner.invoke(main, args, env={"HYPERBESSEL_DPS": "abc"}).exit_code == 2
 
 
 def test_eval_json_round_trip(runner):

@@ -76,9 +76,10 @@ def test_exp_of_sum_is_product_of_exps():
     # exp(f + g) = exp(f) * exp(g) for random series with zero constant terms
     rng = random.Random(5)
     L = 15
-    f, g = (frac_series([Fraction(0)] + [Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-                                         for _ in range(L)], dps=60) for _ in range(2))
-    lhs = (f + g).exp()
+    fs, gs = ([Fraction(0)] + [Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(L)]
+              for _ in range(2))
+    f, g = frac_series(fs, dps=60), frac_series(gs, dps=60)
+    lhs = frac_series([a + b for a, b in zip(fs, gs)], dps=60).exp()
     rhs = f.exp() * g.exp()
     with mp.workdps(60):
         for k in range(L + 1):
@@ -95,17 +96,7 @@ def test_length_mismatch_rejected():
     f = frac_series([Fraction(1), Fraction(2)])
     g = frac_series([Fraction(1), Fraction(2), Fraction(3)])
     with pytest.raises(ValueError):
-        f + g
-    with pytest.raises(ValueError):
         f * g
-
-
-def test_add_sub_scale():
-    f = frac_series([Fraction(1), Fraction(2), Fraction(3)])
-    g = frac_series([Fraction(0), Fraction(1), Fraction(-1)])
-    assert [float(c) for c in (f + g).coeffs] == [1.0, 3.0, 2.0]
-    assert [float(c) for c in (f - g).coeffs] == [1.0, 1.0, 4.0]
-    assert [float(c) for c in f.scale(2).coeffs] == [2.0, 4.0, 6.0]
 
 
 def test_reciprocal_linear_inverts():
@@ -123,7 +114,6 @@ def test_reciprocal_linear_inverts():
 def test_precision_propagates_upward():
     f = frac_series([Fraction(1), Fraction(2)], dps=40)
     g = frac_series([Fraction(1), Fraction(3)], dps=60)
-    assert (f + g).dps == 60
     assert (f * g).dps == 60
 
 
