@@ -17,12 +17,30 @@ weight w:
 The k = n levels sit at e^(-x): there e^(-i k pi/n) is exactly -1, so their
 sums alternate and vanish exactly when w does (half-integer a-b for n = 3).
 
+Every evaluation makes one pass over the coefficient table.  The scaled
+terms u_j = c_j x^(-j) are formed once, by a running product of 1/x
+(``CoeffTable.scaled_terms``), ``GUARD_DPS`` digits past the working
+precision; their magnitudes, rounded to it, are the truncation scan, the term
+trace and the first omitted term.  Re(W e^(-i j k pi/n)) depends on j only
+through j mod 2n, so with the 2n class sums S_r = sum_{j = r mod 2n} u_j
+every level is
+
+    2 A0 x^theta e^(x cos(k pi/n)) [ Re W sum_r cos(r k pi/n) S_r + Im W sum_r sin(r k pi/n) S_r ],
+
+W = w e^(i x sin(k pi/n)).  The class sums are formed once for all levels
+and x^theta once per evaluation; the start weights and the rotations
+cos/sin(r k pi/n) depend only on (params, k) and (n, k) and are memoized.  For
+k = n the rotations are exactly +-1 and 0.  Sums are exact and rounded once
+(``fsum``/``fdot``), and each result is rounded once to the working precision.
+
 Optimal truncation cuts each sum at the least magnitude |c_j| x^(-j) over the
 available coefficient table (the weight and phase are excluded from the
 magnitude, so all levels share one index).
 """
 
+import functools
 import logging
+from fractions import Fraction
 from math import ceil, cos, log, pi
 
 from mpmath import mp
@@ -42,62 +60,120 @@ _ANGLES = {
     5: {"dominant": 1, "intermediate": 3, "subdominant": 5},
 }
 
+#: digits the shared pass carries past the working precision, so that each
+#: level's sums and prefactor are rounded once, at the end
+GUARD_DPS = 10
 
+
+@functools.lru_cache(maxsize=256)
 def _start_weight(params, k, working):
     """The complex start weight w of the level at angle k (see the module table)."""
     n, bs, theta = params.n, params.b_list, params.theta
-    if k == n and n == 3:
-        return mp.cospi(to_mpf(bs[0] - bs[1], working))  # exact 0 at half-integer a-b
-    if k == n:
-        return mp.fsum(mp.cospi(to_mpf(theta + 2 * b + 2 * bs[3], working)) for b in bs[:3])
-    amplitude = 1 if k == 1 else -mp.fsum(mp.expjpi(to_mpf(2 * b, working)) for b in bs)
-    return amplitude * mp.expjpi(to_mpf(k * theta / n, working))
+    with mp.workdps(working):
+        if k == n and n == 3:
+            return mp.cospi(to_mpf(bs[0] - bs[1], working))  # exact 0 at half-integer a-b
+        if k == n:
+            return mp.fsum(mp.cospi(to_mpf(theta + 2 * b + 2 * bs[3], working)) for b in bs[:3])
+        amplitude = 1 if k == 1 else -mp.fsum(mp.expjpi(to_mpf(2 * b, working)) for b in bs)
+        return amplitude * mp.expjpi(to_mpf(k * theta / n, working))
 
 
-def _check_args(params, coeffs, x, M, dps):
+@functools.lru_cache(maxsize=64)
+def _rotations(n, k, working):
+    """(cos(r k pi/n), sin(r k pi/n)) for r = 0..2n-1, the angles reduced exactly mod 2."""
+    angles = [to_mpf(Fraction(r * k, n) % 2, working) for r in range(2 * n)]
+    with mp.workdps(working):
+        return tuple(mp.cospi(a) for a in angles), tuple(mp.sinpi(a) for a in angles)
+
+
+def _working_dps(params, dps):
+    return check_dps(dps) if dps is not None else params.dps
+
+
+def _positive_x(x, working):
+    xm = to_mpf(x, working)
+    if xm <= 0:
+        raise DomainError(f"asymptotic series require x > 0, got {xm}")
+    return xm
+
+
+def _scan(table, xm, working):
+    """The one pass over ``table`` at x: the scaled terms u_j, ``GUARD_DPS``
+    digits past ``working``, and their magnitudes rounded to ``working``."""
+    u = table.scaled_terms(xm, working + GUARD_DPS)
+    with mp.workdps(working):
+        return u, [abs(v) for v in u]
+
+
+def _least_term(mags, allow_boundary=False):
+    best = min(range(len(mags)), key=mags.__getitem__)
+    if best == len(mags) - 1 and not allow_boundary:
+        raise NoMinimumDetected(
+            f"term magnitudes still decreasing at the end of a {len(mags)}-coefficient table")
+    return best
+
+
+def _levels(params, u, xm, M, working, angles):
+    """The levels at ``angles``, each summed over u_0..u_{M-1}.
+
+    Returns one (value, |prefactor w|) pair per level, ``GUARD_DPS`` digits
+    past ``working``.  Only the start weight w is taken at ``working``
+    digits, so where it vanishes up to rounding, its residue is that of a
+    ``working``-digit evaluation.
+    """
+    n, guarded = params.n, working + GUARD_DPS
+    with mp.workdps(guarded):
+        sums = [mp.fsum(u[r:M:2 * n]) for r in range(2 * n)]
+        base = 2 * params.A0 * xm ** to_mpf(params.theta, guarded)
+        levels = []
+        for k in angles:
+            cos_r, sin_r = _rotations(n, k, guarded)
+            w = _start_weight(params, k, working)
+            pref = base * mp.exp(xm * cos_r[1])
+            phase = w * mp.expj(xm * sin_r[1])
+            total = mp.fdot((phase.real, phase.imag), (mp.fdot(cos_r, sums), mp.fdot(sin_r, sums)))
+            levels.append((pref * total, abs(pref * w)))
+        return levels
+
+
+def _result(method, levels, mags, M, working):
+    """The sum of ``levels`` over M terms; ``error_estimate`` is the first level's.
+
+    That is its first omitted term, |prefactor w| |c_M| x^(-M) (the last
+    summed term at the end of the table), plus the rounding floor
+    10^(1-dps) |value|.
+    """
+    trace = tuple(mags[:M])
+    omitted = mags[M] if M < len(mags) else trace[-1]
+    with mp.workdps(working):
+        value = mp.fsum(v for v, _ in levels)
+        lead, amplitude = levels[0]
+        # where the expansion terminates, c_M vanishes and only the rounding remains
+        error = amplitude * omitted + mp.mpf(10) ** (1 - working) * abs(lead)
+    return EvalResult(value=value, method=method, terms_used=M, max_term_magnitude=max(trace),
+                      error_estimate=error, term_trace=trace)
+
+
+def _bind(params, coeffs, x, dps):
+    """(x, working digits) after checking that ``coeffs`` belongs to ``params`` and x > 0."""
     if coeffs.params != params:
         raise ValueError("coefficient table belongs to different parameters")
+    working = _working_dps(params, dps)
+    return _positive_x(x, working), working
+
+
+def _level_series(level, params, coeffs, x, M, dps):
+    """One exponential level truncated after M terms (j = 0..M-1)."""
+    k = _ANGLES[params.n].get(level)
+    if k is None:
+        raise OrderUnsupported(f"order n = {params.n} has no {level} level")
+    xm, working = _bind(params, coeffs, x, dps)
     if M < 1:
         raise ValueError("need at least one term")
     if M > len(coeffs):
         raise CoeffShortfall(f"requested {M} terms but the table holds {len(coeffs)}")
-    working = check_dps(dps) if dps is not None else params.dps
-    with mp.workdps(working):
-        xm = to_mpf(x, working)
-    if xm <= 0:
-        raise DomainError(f"asymptotic series require x > 0, got {xm}")
-    return xm, working
-
-
-def _level_series(level, params, coeffs, x, M, dps):
-    """One exponential level truncated after M terms (j = 0..M-1).
-
-    ``error_estimate`` is the first omitted term, |prefactor * w| |c_M| x^(-M),
-    plus the rounding floor 10^(1-dps) |value|.
-    """
-    k = _ANGLES[params.n].get(level)
-    if k is None:
-        raise OrderUnsupported(f"order n = {params.n} has no {level} level")
-    xm, working = _check_args(params, coeffs, x, M, dps)
-    with mp.workdps(working):
-        theta = to_mpf(params.theta, working)
-        a0 = to_mpf(params.A0, working) if working > params.dps else params.A0
-        w = _start_weight(params, k, working)
-        angle = mp.mpf(k) / params.n
-        pref = 2 * a0 * xm ** theta * mp.exp(xm * mp.cospi(angle))
-        phase = w * mp.expj(xm * mp.sinpi(angle))
-        step = mp.mpc(mp.cospi(angle), -mp.sinpi(angle)) / xm
-        total = mp.mpf(0)
-        for j in range(M):
-            total += coeffs[j] * phase.real
-            phase *= step
-        trace = tuple(abs(coeffs[j]) * xm ** (-j) for j in range(M))
-        omitted = abs(coeffs[M]) * xm ** (-M) if M < len(coeffs) else trace[-1]
-        value = pref * total
-        # where the expansion terminates, c_M vanishes and only the rounding remains
-        error = abs(pref * w) * omitted + mp.mpf(10) ** (1 - working) * abs(value)
-        return EvalResult(value=value, method=METHOD_ASYMPTOTIC, terms_used=M,
-                          max_term_magnitude=max(trace), error_estimate=error, term_trace=trace)
+    u, mags = _scan(coeffs, xm, working)
+    return _result(METHOD_ASYMPTOTIC, _levels(params, u, xm, M, working, (k,)), mags, M, working)
 
 
 def dominant_series(params, coeffs, x, M, dps=None):
@@ -125,34 +201,32 @@ def optimal_truncation_index(coeffs, x, allow_boundary=False):
     NoMinimumDetected is raised (extend the table), unless ``allow_boundary``
     accepts it, as a fixed coefficient budget does.
     """
-    mags = coeffs.term_magnitudes(x)
-    best = min(range(len(mags)), key=mags.__getitem__)
-    if best == len(mags) - 1 and not allow_boundary:
-        raise NoMinimumDetected(
-            f"term magnitudes still decreasing at the end of a {len(coeffs)}-coefficient table")
-    return best
+    xm = _positive_x(x, coeffs.params.dps)
+    return _least_term(coeffs.term_magnitudes(xm), allow_boundary)
 
 
 OPTIMAL = "optimal"
 
 
-def _table_for(params, x, truncation):
+def _truncated_scan(params, xm, truncation, working):
+    """The pass over a table long enough for ``truncation``: (u, magnitudes, j0),
+    j0 being the last index summed."""
     if truncation == OPTIMAL:
-        m = max(32, ceil(2.0 * float(to_mpf(x, 30))) + 16)
+        m = max(32, ceil(2.0 * float(xm)) + 16)
         for _ in range(3):
-            table = stirling_matching_coeffs(params, m)
+            u, mags = _scan(stirling_matching_coeffs(params, m), xm, working)
             try:
-                j0 = optimal_truncation_index(table, x)
-                return table, j0
+                return u, mags, _least_term(mags)
             except NoMinimumDetected:
                 logger.debug("compound table: no least term within %d coefficients at x = %s, "
-                             "growing to %d", m, x, ceil(m * 1.5))
+                             "growing to %d", m, xm, ceil(m * 1.5))
                 m = ceil(m * 1.5)
         raise NoMinimumDetected(f"no confirmed least term within {m} coefficients")
     m = int(truncation)
     if m < 1:
         raise ValueError("fixed truncation must request at least one term")
-    return stirling_matching_coeffs(params, max(m + 1, 2)), m - 1
+    u, mags = _scan(stirling_matching_coeffs(params, max(m + 1, 2)), xm, working)
+    return u, mags, m - 1
 
 
 def compound_eval(params, x, truncation=OPTIMAL, dps=None):
@@ -162,26 +236,14 @@ def compound_eval(params, x, truncation=OPTIMAL, dps=None):
     since all levels carry the same |c_j| x^(-j) trace) or an integer M (use
     exactly M terms per level).  ``error_estimate`` is the dominant level's:
     the magnitude of its first omitted term, prefactor included, plus its
-    rounding floor.
+    rounding floor.  x must be positive (DomainError otherwise); it is checked
+    before any coefficient table is built.
     """
-    table, j0 = _table_for(params, x, truncation)
-    m_used = j0 + 1
-    working = check_dps(dps) if dps is not None else params.dps
-    dom = dominant_series(params, table, x, m_used, dps=working)
-    with mp.workdps(working):
-        value = dom.value + _exp_small(params, table, x, m_used, working)
-    return EvalResult(value=value, method=METHOD_COMPOUND, terms_used=m_used,
-                      max_term_magnitude=dom.max_term_magnitude,
-                      error_estimate=dom.error_estimate, term_trace=dom.term_trace)
-
-
-def _exp_small(params, table, x, M, working):
-    """Every level below the dominant one, each summed to M terms."""
-    value = subdominant_series(params, table, x, M, dps=working).value
-    if "intermediate" in _ANGLES[params.n]:
-        with mp.workdps(working):
-            value += intermediate_series_n5(params, table, x, M, dps=working).value
-    return value
+    working = _working_dps(params, dps)
+    xm = _positive_x(x, working)
+    u, mags, j0 = _truncated_scan(params, xm, truncation, working)
+    levels = _levels(params, u, xm, j0 + 1, working, _ANGLES[params.n].values())
+    return _result(METHOD_COMPOUND, levels, mags, j0 + 1, working)
 
 
 def _residual_target_digits(x):
@@ -229,6 +291,9 @@ def exp_small_optimal(params, x, table, dps=None):
     For n = 3 and n = 4 this is just the subdominant expansion; for n = 5 it
     also includes the middle exponential level.  Returns (value, index).
     """
-    j0 = optimal_truncation_index(table, x)
-    working = check_dps(dps) if dps is not None else params.dps
-    return _exp_small(params, table, x, j0 + 1, working), j0
+    xm, working = _bind(params, table, x, dps)
+    u, mags = _scan(table, xm, working)
+    j0 = _least_term(mags)
+    below = [k for level, k in _ANGLES[params.n].items() if level != "dominant"]
+    with mp.workdps(working):
+        return mp.fsum(v for v, _ in _levels(params, u, xm, j0 + 1, working, below)), j0

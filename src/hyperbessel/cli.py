@@ -180,7 +180,7 @@ def main():
 @click.option("-n", "nu_order", default=None, help="second hyper-Bessel order (--humbert)")
 @click.option("--x", default=None, help="evaluation point (x >= 0)")
 @click.option("--x-range", default=None, help="range start:stop:step")
-@click.option("--target", type=int, default=20, help="target significant digits")
+@click.option("--target", type=click.IntRange(min=1), default=20, help="target significant digits")
 @click.option("--method", type=click.Choice(["series", "compound", "both"]), default="series")
 @click.option("--trunc", type=_KeywordOrInt(asym.OPTIMAL, 1), default=asym.OPTIMAL,
               help="compound truncation: 'optimal' or a term count")

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from mpmath import mp
-from mpmath.libmp import fone, from_rational, fzero, round_nearest
+from mpmath.libmp import fone, from_rational, fzero, mpf_div, mpf_mul, round_nearest
 
 from .errors import CancellationFailure, OrderUnsupported, SingularRineyWeights
 from .params import ExpansionParams
@@ -71,12 +71,29 @@ class CoeffTable:
     def __getitem__(self, j):
         return self.c[j]
 
+    def scaled_terms(self, x, dps=None):
+        """u_j = c_j x^(-j) for every tabulated j, each rounded once to ``dps`` digits.
+
+        x^(-j) is a running product of 1/x carried with enough guard bits that
+        its accumulated rounding stays far below the last digit of u_j.
+        """
+        dps = dps or self.params.dps
+        with mp.workdps(dps):
+            prec = mp.prec
+            xm = to_mpf(x, dps)
+        carry = prec + len(self.c).bit_length() + 10
+        step = mpf_div(fone, xm._mpf_, carry, round_nearest)
+        power, terms = fone, []
+        for cj in self.c:
+            terms.append(mp.make_mpf(mpf_mul(cj._mpf_, power, prec, round_nearest)))
+            power = mpf_mul(power, step, carry, round_nearest)
+        return tuple(terms)
+
     def term_magnitudes(self, x, dps=None):
         """|c_j| x^(-j) for every tabulated j (the truncation-choice trace)."""
         dps = dps or self.params.dps
         with mp.workdps(dps):
-            xm = to_mpf(x, dps)
-            return tuple(abs(cj) * xm ** (-j) for j, cj in enumerate(self.c))
+            return tuple(abs(u) for u in self.scaled_terms(x, dps))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from hyperbessel import (ClosedFormCase, CoeffShortfall, DomainError, NoMinimumD
                          derive_params, dominant_series, exp_small_optimal,
                          intermediate_series_n5, optimal_truncation_index, residual_F,
                          series_eval, stirling_matching_coeffs, subdominant_series)
+from hyperbessel import asym, coeffs
 from hyperbessel.precision import to_mpf
 
 F = Fraction
@@ -117,6 +118,18 @@ def test_domain_and_shortfall(thirds):
         dominant_series(p, t, 0, 1)
     with pytest.raises(CoeffShortfall):
         dominant_series(p, t, 5, len(t) + 1)
+
+
+def test_compound_rejects_non_positive_x_before_building_a_table():
+    # a parameter set no other test uses, so a table built for it would show in the store
+    p = derive_params(4, ("7/12", "5/6", "13/12"), precision=41)
+    for x in (0, -1, F(-1, 2), "-3"):
+        for truncation in ("optimal", 5):
+            with pytest.raises(DomainError):
+                compound_eval(p, x, truncation=truncation)
+    assert p not in coeffs._TABLES._tables
+    with pytest.raises(DomainError):
+        optimal_truncation_index(stirling_matching_coeffs(p, 8), 0)
 
 
 def test_sign_alternation_consistency():
@@ -396,3 +409,65 @@ def test_level_evaluator_matches_per_term_reference(case):
         want, scale = _reference_level(p, t, xm, M, level)
         magnitude = mp.fsum(abs(t[j]) * xm ** (-j) for j in range(M))
         assert abs(got - want) <= mp.mpf(10) ** (5 - PROPERTY_DPS) * scale * magnitude
+
+
+#: the benchmark's compound_sweep sets, two per order
+SWEEP_SETS = (
+    (3, (F(2, 3), F(5, 6))),
+    (4, (F(-1, 4), F(1, 2), F(5, 8))),
+    (5, (F(1, 3), F(1, 2), F(2, 3), F(5, 4))),
+    (3, (F(1, 6), F(3, 4))),
+    (4, (F(1, 3), F(2, 3), F(7, 6))),
+    (5, (F(-1, 3), F(1, 4), F(3, 4), F(3, 2))),
+)
+
+
+def _grid_draws(seed):
+    """One parameter set per order, b drawn on the grid p/12 in (-1, 3] without 0."""
+    rng = random.Random(seed)
+    grid = [F(k, 12) for k in range(-11, 37) if k]
+    return tuple((n, tuple(rng.choice(grid) for _ in range(n - 1))) for n in (3, 4, 5))
+
+
+ONE_PASS_SETS = SWEEP_SETS + _grid_draws(8)
+ONE_PASS_X = (6, F(23, 2), 30)
+ONE_PASS_M = (1, 2, 5, 6, 10, 11, 17, 31, 44, 60)
+
+
+def _term_by_term(p, t, x, M, k, dps):
+    """sum_j c_j Re(w e^(i x sin(k pi/n)) (e^(-i k pi/n)/x)^j), prefactor included,
+    one complex power per term at ``dps`` digits, with the evaluator's start weight w."""
+    w = asym._start_weight(p, k, p.dps)
+    with mp.workdps(dps):
+        xm = to_mpf(x, dps)
+        angle = mp.mpf(k) / p.n
+        pref = 2 * p.A0 * xm ** to_mpf(p.theta, dps) * mp.exp(xm * mp.cospi(angle))
+        phase = w * mp.expj(xm * mp.sinpi(angle))
+        z = mp.expjpi(-angle) / xm
+        return pref * mp.fsum(t[j] * (phase * z ** j).real for j in range(M))
+
+
+@pytest.mark.parametrize("n, bs", ONE_PASS_SETS)
+def test_level_sums_from_residue_classes_match_term_by_term(n, bs):
+    """The residue-class level sums against a term-by-term sum 20 digits finer.
+
+    Each level value must agree within its own rounding floor 10^(1-dps) |value|,
+    and ``compound_eval`` must equal the sum of the public level functions at
+    the same ``terms_used``.
+    """
+    p = derive_params(n, bs)
+    t = stirling_matching_coeffs(p, max(ONE_PASS_M) + 1)
+    angles = asym._ANGLES[n]
+    floor = mp.mpf(10) ** (1 - p.dps)
+    for x in ONE_PASS_X:
+        for M in ONE_PASS_M:
+            for level, k in angles.items():
+                got = LEVELS[level](p, t, x, M).value
+                want = _term_by_term(p, t, x, M, k, p.dps + 20)
+                with mp.workdps(p.dps + 20):
+                    assert abs(got - want) <= floor * abs(got), (level, x, M)
+        c = compound_eval(p, x)
+        tc = stirling_matching_coeffs(p, c.terms_used + 1)
+        parts = [LEVELS[level](p, tc, x, c.terms_used).value for level in angles]
+        with mp.workdps(p.dps + 20):
+            assert abs(c.value - mp.fsum(parts)) <= floor * abs(c.value), x

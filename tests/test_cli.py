@@ -105,10 +105,20 @@ def test_eval_usage_errors(runner):
                                 "--x-range", "1:2:0"]).exit_code == 2
     # malformed or out-of-range numbers are usage errors, not tracebacks
     point = ["eval", "--n3", "-a", "1/3", "-b", "2/3", "--x", "10", "--method", "compound"]
-    for extra in (["--trunc", "abc"], ["--trunc", "0"], ["--precision", "10"]):
+    for extra in (["--trunc", "abc"], ["--trunc", "0"], ["--precision", "10"],
+                  ["--target", "0"], ["--target", "-5"]):
         assert runner.invoke(main, point + extra).exit_code == 2
     for env in ("abc", "10"):
         assert runner.invoke(main, point, env={"HYPERBESSEL_DPS": env}).exit_code == 2
+
+
+def test_eval_compound_at_zero_is_a_domain_error(runner):
+    # x = 0 passes the x >= 0 check, and the compound expansion refuses it cleanly
+    for order in (["--n3", "-a", "1/3", "-b", "2/3"], ["--humbert", "-m", "1/2", "-n", "2/3"]):
+        res = runner.invoke(main, ["eval", *order, "--x", "0", "--method", "compound"])
+        assert res.exit_code == 1
+        assert "DomainError" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_coeffs_usage_errors(runner):
