@@ -16,6 +16,8 @@ weight w:
 
 The k = n levels sit at e^(-x): there e^(-i k pi/n) is exactly -1, so their
 sums alternate and vanish exactly when w does (half-integer a-b for n = 3).
+Where the k = 3 amplitude sum_r e^(2 pi i b_r) cancels (``_roots_cancel``) w
+is exactly 0.  Each level reads its parameter set from its coefficient table.
 
 Every evaluation makes one pass over the coefficient table.  The scaled
 terms u_j = c_j x^(-j) are formed once, by a running product of 1/x
@@ -65,6 +67,19 @@ _ANGLES = {
 GUARD_DPS = 10
 
 
+def _roots_cancel(bs):
+    """Whether sum_r e^(2 pi i b_r) is exactly 0, for three or four rational b_r.
+
+    No minimal vanishing sum of roots of unity has weight 4 (Lam & Leung,
+    J. Algebra 224 (2000)): on the sorted residues r = b mod 1, three terms
+    cancel only as a rotated cube-root triple, four only as two antipodal pairs.
+    """
+    r = sorted(b % 1 for b in bs)
+    if len(r) == 3:
+        return r[1] - r[0] == r[2] - r[1] == Fraction(1, 3)
+    return r[2] - r[0] == r[3] - r[1] == Fraction(1, 2)
+
+
 @functools.lru_cache(maxsize=256)
 def _start_weight(params, k, working):
     """The complex start weight w of the level at angle k (see the module table)."""
@@ -74,6 +89,8 @@ def _start_weight(params, k, working):
             return mp.cospi(to_mpf(bs[0] - bs[1], working))  # exact 0 at half-integer a-b
         if k == n:
             return mp.fsum(mp.cospi(to_mpf(theta + 2 * b + 2 * bs[3], working)) for b in bs[:3])
+        if k != 1 and _roots_cancel(bs):
+            return mp.zero
         amplitude = 1 if k == 1 else -mp.fsum(mp.expjpi(to_mpf(2 * b, working)) for b in bs)
         return amplitude * mp.expjpi(to_mpf(k * theta / n, working))
 
@@ -84,10 +101,6 @@ def _rotations(n, k, working):
     angles = [to_mpf(Fraction(r * k, n) % 2, working) for r in range(2 * n)]
     with mp.workdps(working):
         return tuple(mp.cospi(a) for a in angles), tuple(mp.sinpi(a) for a in angles)
-
-
-def _working_dps(params, dps):
-    return check_dps(dps) if dps is not None else params.dps
 
 
 def _positive_x(x, working):
@@ -154,20 +167,19 @@ def _result(method, levels, mags, M, working):
                       error_estimate=error, term_trace=trace)
 
 
-def _bind(params, coeffs, x, dps):
-    """(x, working digits) after checking that ``coeffs`` belongs to ``params`` and x > 0."""
-    if coeffs.params != params:
-        raise ValueError("coefficient table belongs to different parameters")
-    working = _working_dps(params, dps)
+def _bind(table, x, dps):
+    """(x, working digits: ``dps`` or else ``table.params.dps``), x checked positive."""
+    working = check_dps(dps) if dps is not None else table.params.dps
     return _positive_x(x, working), working
 
 
-def _level_series(level, params, coeffs, x, M, dps):
+def _level_series(level, coeffs, x, M, dps):
     """One exponential level truncated after M terms (j = 0..M-1)."""
+    params = coeffs.params
     k = _ANGLES[params.n].get(level)
     if k is None:
         raise OrderUnsupported(f"order n = {params.n} has no {level} level")
-    xm, working = _bind(params, coeffs, x, dps)
+    xm, working = _bind(coeffs, x, dps)
     if M < 1:
         raise ValueError("need at least one term")
     if M > len(coeffs):
@@ -176,19 +188,19 @@ def _level_series(level, params, coeffs, x, M, dps):
     return _result(METHOD_ASYMPTOTIC, _levels(params, u, xm, M, working, (k,)), mags, M, working)
 
 
-def dominant_series(params, coeffs, x, M, dps=None):
+def dominant_series(coeffs, x, M, dps=None):
     """Truncated dominant expansion (M terms, j = 0..M-1)."""
-    return _level_series("dominant", params, coeffs, x, M, dps)
+    return _level_series("dominant", coeffs, x, M, dps)
 
 
-def subdominant_series(params, coeffs, x, M, dps=None):
+def subdominant_series(coeffs, x, M, dps=None):
     """Truncated exponentially small expansion (M terms)."""
-    return _level_series("subdominant", params, coeffs, x, M, dps)
+    return _level_series("subdominant", coeffs, x, M, dps)
 
 
-def intermediate_series_n5(params, coeffs, x, M, dps=None):
+def intermediate_series_n5(coeffs, x, M, dps=None):
     """Truncated middle exponential level, which exists only for n = 5."""
-    return _level_series("intermediate", params, coeffs, x, M, dps)
+    return _level_series("intermediate", coeffs, x, M, dps)
 
 
 def optimal_truncation_index(coeffs, x, allow_boundary=False):
@@ -201,8 +213,8 @@ def optimal_truncation_index(coeffs, x, allow_boundary=False):
     NoMinimumDetected is raised (extend the table), unless ``allow_boundary``
     accepts it, as a fixed coefficient budget does.
     """
-    xm = _positive_x(x, coeffs.params.dps)
-    return _least_term(coeffs.term_magnitudes(xm), allow_boundary)
+    working = coeffs.params.dps
+    return _least_term(_scan(coeffs, _positive_x(x, working), working)[1], allow_boundary)
 
 
 OPTIMAL = "optimal"
@@ -229,17 +241,17 @@ def _truncated_scan(params, xm, truncation, working):
     return u, mags, m - 1
 
 
-def compound_eval(params, x, truncation=OPTIMAL, dps=None):
+def compound_eval(params, x, truncation=OPTIMAL):
     """Dominant (+ intermediate for n = 5) + subdominant, jointly truncated.
 
     ``truncation`` is either ``"optimal"`` (least-term index, one shared index
     since all levels carry the same |c_j| x^(-j) trace) or an integer M (use
     exactly M terms per level).  ``error_estimate`` is the dominant level's:
     the magnitude of its first omitted term, prefactor included, plus its
-    rounding floor.  x must be positive (DomainError otherwise); it is checked
-    before any coefficient table is built.
+    rounding floor at ``params.dps`` digits.  x must be positive (DomainError
+    otherwise); it is checked before any coefficient table is built.
     """
-    working = _working_dps(params, dps)
+    working = params.dps
     xm = _positive_x(x, working)
     u, mags, j0 = _truncated_scan(params, xm, truncation, working)
     levels = _levels(params, u, xm, j0 + 1, working, _ANGLES[params.n].values())
@@ -260,7 +272,7 @@ def residual_dps(n, x):
     return ceil((1 + cos(pi / n)) * float(to_mpf(x, 30)) / log(10)) + 10
 
 
-def residual_F(params, x, j0, dps=None):
+def residual_F(params, x, j0):
     """F_n(x) minus the dominant expansion summed through index j0 (inclusive).
 
     This is the numerically extracted exponentially small residual; compare it
@@ -277,23 +289,24 @@ def residual_F(params, x, j0, dps=None):
             f"residual at x = {float(to_mpf(x, 30)):.6g} needs parameters at {needed} digits "
             f"or more to resolve the e^(-x) level, got {params.dps}")
     target = _residual_target_digits(x)
-    working = check_dps(dps) if dps is not None else auto_series_dps(target)
+    working = auto_series_dps(target)
     base = series_eval(params, x, target_digits=target, dps=working)
     table = stirling_matching_coeffs(params, j0 + 2)
-    dom = dominant_series(params, table, x, j0 + 1, dps=working)
+    dom = dominant_series(table, x, j0 + 1, dps=working)
     with mp.workdps(working):
         return base.value - dom.value
 
 
-def exp_small_optimal(params, x, table, dps=None):
+def exp_small_optimal(table, x, dps=None):
     """All below-dominant levels at their least term over ``table`` (the residual's counterpart).
 
     For n = 3 and n = 4 this is just the subdominant expansion; for n = 5 it
-    also includes the middle exponential level.  Returns (value, index).
+    also includes the middle exponential level.  Returns (value, index), the
+    index being ``optimal_truncation_index(table, x)`` at the default ``dps``.
     """
-    xm, working = _bind(params, table, x, dps)
+    xm, working = _bind(table, x, dps)
     u, mags = _scan(table, xm, working)
     j0 = _least_term(mags)
-    below = [k for level, k in _ANGLES[params.n].items() if level != "dominant"]
+    below = [k for level, k in _ANGLES[table.params.n].items() if level != "dominant"]
     with mp.workdps(working):
-        return mp.fsum(v for v, _ in _levels(params, u, xm, j0 + 1, working, below)), j0
+        return mp.fsum(v for v, _ in _levels(table.params, u, xm, j0 + 1, working, below)), j0

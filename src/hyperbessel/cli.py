@@ -223,7 +223,7 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
                 else:
                     res = series_eval(params, xv, target_digits=target, dps=precision)
             else:
-                res = asym.compound_eval(params, xv, truncation=trunc, dps=precision)
+                res = asym.compound_eval(params, xv, truncation=trunc)
                 if humbert and power != 0:
                     with mp.workdps(out_dps):
                         factor = (to_mpf(xv, out_dps) / 3) ** to_mpf(power, out_dps)
@@ -304,9 +304,9 @@ def cmd_residual(n3, n4, n5, a, b, x, j0, precision, fmt, output):
         precision = max(DEFAULT_DPS, asym.residual_dps(_ORDERS[mode], xv))
     params = _build_params(mode, a, b, precision)
     table = coeffs_mod.stirling_matching_coeffs(params, max(40, int(2 * xv) + 16))
-    j0_val = asym.optimal_truncation_index(table, xv) if j0 == "auto" else j0
+    es, j_least = asym.exp_small_optimal(table, xv, dps=70)
+    j0_val = j_least if j0 == "auto" else j0
     resid = asym.residual_F(params, xv, j0_val)
-    es, _ = asym.exp_small_optimal(params, xv, table=table, dps=70)
     with mp.workdps(40):
         agreement = mp.nstr(abs(resid - es) / abs(es), 4) if es != 0 else "n/a"
     rows = [[_xstr(xv), str(j0_val), _num(resid, 10), _num(es, 10), agreement]]

@@ -28,7 +28,8 @@ with c_0 = 1.  Two algorithms are provided:
   a = 1 or b = 1 (``SingularRineyWeights``).
 
 Closed forms for c_1..c_3 (n = 3) and the general-order c_1 are also exposed;
-they serve as independent cross-checks of both engines.
+they serve as independent cross-checks of both engines.  A ``CoeffTable``
+carries its parameter set, so the asymptotic levels take the table alone.
 """
 
 import functools
@@ -48,22 +49,15 @@ from .precision import DEFAULT_DPS, to_mpf
 
 logger = logging.getLogger(__name__)
 
-#: digits assumed lost to the mildly conditioned triangular solve
-EST_DIGITS_MARGIN = 10
-
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Coefficients c_0 ... c_{M-1} for one parameter set.
-
-    ``est_digits`` is a conservative estimate of the correct significant
-    digits; cross-engine comparison typically shows far better agreement.
-    """
+    """Coefficients c_0 ... c_{M-1} for one parameter set, rounded to
+    ``params.dps`` digits, and the engine (``method``) that built them."""
 
     params: ExpansionParams
     c: tuple
     method: str
-    est_digits: int
 
     def __len__(self):
         return len(self.c)
@@ -88,12 +82,6 @@ class CoeffTable:
             terms.append(mp.make_mpf(mpf_mul(cj._mpf_, power, prec, round_nearest)))
             power = mpf_mul(power, step, carry, round_nearest)
         return tuple(terms)
-
-    def term_magnitudes(self, x, dps=None):
-        """|c_j| x^(-j) for every tabulated j (the truncation-choice trace)."""
-        dps = dps or self.params.dps
-        with mp.workdps(dps):
-            return tuple(abs(u) for u in self.scaled_terms(x, dps))
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,11 +137,6 @@ def _log_ratio_series(params, length, dps):
     return PowerSeries1OverS._from_raw(tail, dps)
 
 
-def _pochhammer_reciprocal_series(n, theta_prime, j, previous, length, dps):
-    """Series of 1/(n s + theta')_j, built incrementally from the (j-1)-series."""
-    return previous * reciprocal_linear(to_mpf(theta_prime, dps) + (j - 1), n, length, dps)
-
-
 class _TableStore:
     """The longest matching-engine table built so far for each of the ``size``
     most recently used parameter sets.
@@ -190,13 +173,15 @@ def _stirling_build(params, M, work):
     L = M - 1
     series = _log_ratio_series(params, L, work)
     r = series.exp()
+    # q_rows[j] = 1/(n s + theta')_j with theta' + (j - 1) rounded at ``work``
+    # digits; the j = 0 row, the series 1, is never read
+    q_rows = [None]
     with mp.workdps(work):
         prec = mp.prec
-        q = PowerSeries1OverS.constant(1, L, work)
-        q_rows = [q]
+        theta_prime = to_mpf(params.theta_prime, work)
         for j in range(1, M):
-            q = _pochhammer_reciprocal_series(n, params.theta_prime, j, q, L, work)
-            q_rows.append(q)
+            step = reciprocal_linear(theta_prime + (j - 1), n, L, work)
+            q_rows.append(step if j == 1 else q_rows[-1] * step)
     # c_m = (r_m - sum_{0<j<m} c_j q_j[m]) / q_m[m], each rounded once
     c = [fone]
     neg_c = []
@@ -224,7 +209,7 @@ def stirling_matching_coeffs(params, M):
         raise ValueError("need at least one coefficient")
     M = int(M)
     c = _TABLES.prefix(params, M, params.dps + 10 + M // 2)
-    return CoeffTable(params=params, c=c, method="stirling", est_digits=params.dps - EST_DIGITS_MARGIN)
+    return CoeffTable(params=params, c=c, method="stirling")
 
 
 def _riney_singularity_gap(params):
@@ -275,7 +260,7 @@ def riney_coeffs(params, M):
             f"weights singular or near-singular for {params.describe()} (gap {gap}); "
             "use stirling_matching_coeffs")
     c = _riney_build(params, int(M), params.dps + 10)
-    return CoeffTable(params=params, c=c, method="riney", est_digits=params.dps - EST_DIGITS_MARGIN)
+    return CoeffTable(params=params, c=c, method="riney")
 
 
 def closed_form_c123(a, b, precision=DEFAULT_DPS):

@@ -4,8 +4,7 @@ For order n with denominator parameters b_1 ... b_{n-1} the associated
 constants are
 
     kappa  = n
-    sigma  = sum_j b_j
-    theta  = (n - 1)/2 - sigma        (theta' = 1 - theta)
+    theta  = (n - 1)/2 - sum_j b_j    (theta' = 1 - theta)
     A0     = n^(-1/2 - theta) / (2 pi)^((n-1)/2)
 
 For n = 3 with b_list = (a, b) this reduces to theta = 1 - a - b and
@@ -34,8 +33,6 @@ class ExpansionParams:
     n: int
     b_list: tuple          # exact Fractions
     dps: int
-    kappa: int
-    sigma_n: Fraction
     theta: Fraction
     theta_prime: Fraction
     A0: object             # mpf at dps digits
@@ -59,12 +56,11 @@ def derive_params(n, b_list, precision=DEFAULT_DPS):
     for b in bs:
         if b.denominator == 1 and b <= 0:
             raise PoleParameter(f"parameter {b} is a non-positive integer (gamma pole)")
-    sigma = sum(bs, Fraction(0))
-    theta = Fraction(n - 1, 2) - sigma
+    theta = Fraction(n - 1, 2) - sum(bs, Fraction(0))
     theta_prime = 1 - theta
     with mp.workdps(dps + 10):
         a0 = mp.mpf(n) ** (to_mpf(Fraction(-1, 2) - theta, dps + 10)) / (2 * mp.pi) ** (mp.mpf(n - 1) / 2)
     with mp.workdps(dps):
         a0 = +a0
-    return ExpansionParams(n=int(n), b_list=bs, dps=dps, kappa=int(n),
-                           sigma_n=sigma, theta=theta, theta_prime=theta_prime, A0=a0)
+    return ExpansionParams(n=int(n), b_list=bs, dps=dps, theta=theta,
+                           theta_prime=theta_prime, A0=a0)

@@ -67,13 +67,6 @@ class PowerSeries1OverS:
             raise ValueError("series needs at least the constant coefficient")
 
     @classmethod
-    def constant(cls, value, length, dps):
-        with mp.workdps(dps):
-            c = [mp.mpf(0)] * (length + 1)
-            c[0] = to_mpf(value, dps)
-            return cls(tuple(c), dps)
-
-    @classmethod
     def _from_raw(cls, raw, dps):
         return cls(tuple(mp.make_mpf(v) for v in raw), dps)
 

@@ -160,7 +160,7 @@ def reproduce_table2():
         x = int(rec["x"])
         j0 = optimal_truncation_index(table, x, allow_boundary=True)
         exact = series_eval(params, x, target_digits=34)
-        dom = dominant_series(params, table, x, j0 + 1, dps=80)
+        dom = dominant_series(table, x, j0 + 1, dps=80)
         with mp.workdps(80):
             rel_err = abs((dom.value - exact.value) / exact.value)
         ok, rel = _factor_band_match(rel_err, rec["value"])
@@ -189,7 +189,7 @@ def _residual_rows(table_id, n):
             inputs = {"b": rec["b_list"], "x": rec["x"], "j0": rec["j"]}
         else:
             j0 = optimal_truncation_index(table, x, allow_boundary=True)
-            value = subdominant_series(params, table, x, j0 + 1, dps=70).value
+            value = subdominant_series(table, x, j0 + 1, dps=70).value
             inputs = {"b": rec["b_list"], "x": rec["x"]}
         ok, rel = _digit_match(value, rec["value"])
         rows.append(TableRow(inputs={**inputs, "quantity": rec["quantity"]},

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,16 @@ from hyperbessel.precision import to_mpf
 
 F = Fraction
 
+#: the benchmark's compound_sweep sets, two per order
+SWEEP_SETS = (
+    (3, (F(2, 3), F(5, 6))),
+    (4, (F(-1, 4), F(1, 2), F(5, 8))),
+    (5, (F(1, 3), F(1, 2), F(2, 3), F(5, 4))),
+    (3, (F(1, 6), F(3, 4))),
+    (4, (F(1, 3), F(2, 3), F(7, 6))),
+    (5, (F(-1, 3), F(1, 4), F(3, 4), F(3, 2))),
+)
+
 
 @pytest.fixture(scope="module")
 def thirds():
@@ -28,7 +39,7 @@ def test_dominant_leading_term_thirds(thirds):
     p, t = thirds
     with mp.workdps(60):
         for x in (2, 9):
-            got = dominant_series(p, t, x, 1).value
+            got = dominant_series(t, x, 1).value
             want = 2 * p.A0 * mp.exp(mp.mpf(x) / 2) * mp.cos(mp.sqrt(3) * x / 2)
             assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
 
@@ -38,7 +49,7 @@ def test_dominant_leading_term_four_five_thirds():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(10)
-        got = dominant_series(p, t, x, 1).value
+        got = dominant_series(t, x, 1).value
         want = (3 ** mp.mpf("1.5") / (2 * mp.pi * x ** 2)) * 2 * mp.exp(x / 2) \
             * mp.cos(mp.sqrt(3) / 2 * x - 2 * mp.pi / 3)
         assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
@@ -49,7 +60,7 @@ def test_dominant_leading_term_quarters():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(5)
-        got = dominant_series(p, t, x, 1).value
+        got = dominant_series(t, x, 1).value
         want = 2 * p.A0 * mp.exp(x / mp.sqrt(2)) * mp.cos(x / mp.sqrt(2))
         assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
 
@@ -59,7 +70,7 @@ def test_subdominant_leading_term_thirds(thirds):
     p, t = thirds
     with mp.workdps(60):
         for x in (3, 8):
-            got = subdominant_series(p, t, x, 1).value
+            got = subdominant_series(t, x, 1).value
             want = p.A0 * mp.exp(-mp.mpf(x))
             assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
 
@@ -68,13 +79,46 @@ def test_subdominant_vanishes_at_half_integer_gap():
     # dyadic half-integer a-b makes the parity factor exactly zero
     p = derive_params(3, ("3/4", "1/4"))
     t = stirling_matching_coeffs(p, 10)
-    assert subdominant_series(p, t, 15, 8).value == 0
+    assert subdominant_series(t, 15, 8).value == 0
     # non-dyadic representations still collapse to working precision
     p2 = derive_params(3, ("7/6", "2/3"), precision=50)
     t2 = stirling_matching_coeffs(p2, 10)
-    v = subdominant_series(p2, t2, 15, 8).value
+    v = subdominant_series(t2, 15, 8).value
     with mp.workdps(50):
         assert abs(v) <= mp.mpf("1e-40")
+
+
+def test_subdominant_vanishes_on_a_rotated_cube_root_triple():
+    # residues 1/12, 5/12, 3/4 step by 1/3: sum_r e^(2 pi i b_r) is exactly 0
+    p = derive_params(4, ("1/12", "3/4", "29/12"))
+    t = stirling_matching_coeffs(p, 30)
+    sub = subdominant_series(t, 12, 20)
+    assert sub.value == 0 and sub.error_estimate == 0
+    c = compound_eval(p, 12)
+    assert c.value == dominant_series(stirling_matching_coeffs(p, c.terms_used), 12,
+                                      c.terms_used).value
+
+
+def test_intermediate_vanishes_on_two_antipodal_pairs():
+    p = derive_params(5, ("1/4", "3/4", "1/3", "5/6"))
+    t = stirling_matching_coeffs(p, 30)
+    for M in (1, 20):
+        inter = intermediate_series_n5(t, 12, M)
+        assert inter.value == 0 and inter.error_estimate == 0
+    assert subdominant_series(t, 12, 20).value != 0
+
+
+@pytest.mark.parametrize("terms", [3, 4])
+def test_roots_cancel_agrees_with_the_amplitude_on_the_twelfths(terms):
+    # every multiset of residues k/12, shifted by whole numbers as b may be
+    cancelling = 0
+    with mp.workdps(60):
+        for ks in itertools.combinations_with_replacement(range(12), terms):
+            bs = tuple(F(k, 12) + i for i, k in enumerate(ks))
+            amplitude = abs(mp.fsum(mp.expjpi(to_mpf(2 * b, 60)) for b in bs))
+            assert asym._roots_cancel(bs) == (amplitude < mp.mpf("1e-50")), bs
+            cancelling += asym._roots_cancel(bs)
+    assert cancelling == {3: 4, 4: 21}[terms]
 
 
 def test_subdominant_n5_fifths():
@@ -83,7 +127,7 @@ def test_subdominant_n5_fifths():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(6)
-        got = subdominant_series(p, t, x, 1).value
+        got = subdominant_series(t, x, 1).value
         want = p.A0 * mp.exp(-x)
         assert abs(got - want) <= abs(want) * mp.mpf("1e-50")
 
@@ -93,31 +137,23 @@ def test_intermediate_n5_fifths():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(6)
-        got = intermediate_series_n5(p, t, x, 1).value
+        got = intermediate_series_n5(t, x, 1).value
         want = 2 * p.A0 * mp.exp(x * mp.cospi(mp.mpf(3) / 5)) * mp.cos(x * mp.sinpi(mp.mpf(3) / 5))
         assert abs(got - want) <= abs(want) * mp.mpf("1e-50")
 
 
 def test_intermediate_requires_n5(thirds):
-    p, t = thirds
+    _, t = thirds
     with pytest.raises(OrderUnsupported):
-        intermediate_series_n5(p, t, 5, 1)
-
-
-def test_levels_validate_table_binding(thirds):
-    p, t = thirds
-    other = derive_params(3, ("2/3", "5/6"), precision=60)
-    for level in (dominant_series, subdominant_series):
-        with pytest.raises(ValueError):
-            level(other, t, 5, 1)
+        intermediate_series_n5(t, 5, 1)
 
 
 def test_domain_and_shortfall(thirds):
-    p, t = thirds
+    _, t = thirds
     with pytest.raises(DomainError):
-        dominant_series(p, t, 0, 1)
+        dominant_series(t, 0, 1)
     with pytest.raises(CoeffShortfall):
-        dominant_series(p, t, 5, len(t) + 1)
+        dominant_series(t, 5, len(t) + 1)
 
 
 def test_compound_rejects_non_positive_x_before_building_a_table():
@@ -139,7 +175,7 @@ def test_sign_alternation_consistency():
     with mp.workdps(60):
         x = mp.mpf(9)
         for m in (3, 6):
-            d = subdominant_series(p, t, x, m + 1).value - subdominant_series(p, t, x, m).value
+            d = subdominant_series(t, x, m + 1).value - subdominant_series(t, x, m).value
             pref = 2 * p.A0 * mp.cospi(mp.mpf(1)) * x ** mp.mpf("-0.5") * mp.exp(-x)
             want = pref * (-1) ** m * t[m] * x ** (-m)
             assert abs(d - want) <= (abs(want) + mp.mpf("1e-60")) * mp.mpf("1e-40")
@@ -171,15 +207,15 @@ def test_error_estimate_bounds_next_term(n, bs, level):
     t = stirling_matching_coeffs(p, 14)
     with mp.workdps(50):
         for m in range(1, 13):
-            s_m = level(p, t, 12, m)
-            added = abs(level(p, t, 12, m + 1).value - s_m.value)
+            s_m = level(t, 12, m)
+            added = abs(level(t, 12, m + 1).value - s_m.value)
             assert added <= s_m.error_estimate * (1 + mp.mpf("1e-40"))
 
 
 def test_compound_collapses_on_closed_forms():
     for case in ClosedFormCase:
         p = derive_params(case.order, case.b_list, precision=60)
-        c = compound_eval(p, 9, truncation=1, dps=60)
+        c = compound_eval(p, 9, truncation=1)
         cf = closed_form_eval(case, 9, precision=60)
         with mp.workdps(60):
             assert abs(c.value - cf.value) <= abs(cf.value) * mp.mpf("1e-55")
@@ -187,7 +223,7 @@ def test_compound_collapses_on_closed_forms():
 
 def test_compound_matches_series():
     p = derive_params(3, ("2/3", "5/6"), precision=60)
-    c = compound_eval(p, 25, dps=60)
+    c = compound_eval(p, 25)
     s = series_eval(p, 25, target_digits=30)
     with mp.workdps(60):
         err = abs(c.value - s.value)
@@ -209,7 +245,7 @@ def test_terminating_expansion_estimate_covers_rounding(n, bs, x):
 
 def test_compound_matches_series_n4_generic():
     p = derive_params(4, ("-1/4", "1/2", "5/8"), precision=60)
-    c = compound_eval(p, 18, dps=60)
+    c = compound_eval(p, 18)
     s = series_eval(p, 18, target_digits=30)
     with mp.workdps(60):
         assert abs(c.value - s.value) <= abs(s.value) * mp.mpf("1e-10")
@@ -217,7 +253,7 @@ def test_compound_matches_series_n4_generic():
 
 def test_compound_fixed_truncation():
     p = derive_params(3, ("2/3", "5/6"), precision=60)
-    c = compound_eval(p, 18, truncation=7, dps=60)
+    c = compound_eval(p, 18, truncation=7)
     assert c.terms_used == 7
     s = series_eval(p, 18, target_digits=30)
     with mp.workdps(60):
@@ -230,7 +266,7 @@ def test_humbert_rescaled_compound_consistency():
     m, nu = F(1, 2), F(2, 3)
     p = derive_params(3, (m + 1, nu + 1), precision=60)
     for x in (15, 20):
-        c = compound_eval(p, x, dps=60)
+        c = compound_eval(p, x)
         j = humbert_J(m, nu, x, target_digits=30)
         with mp.workdps(60):
             scale = (mp.mpf(x) / 3) ** (mp.mpf(7) / 6)
@@ -241,7 +277,7 @@ def test_residual_matches_exp_small():
     p = derive_params(3, ("5/4", "1/4"), precision=60)
     t = stirling_matching_coeffs(p, 40)
     resid = residual_F(p, 15, 15)
-    es, j_sub = exp_small_optimal(p, 15, table=t, dps=70)
+    es, j_sub = exp_small_optimal(t, 15, dps=70)
     with mp.workdps(50):
         assert abs(resid - es) <= abs(es) * mp.mpf("0.02")
     assert j_sub > 15
@@ -262,7 +298,7 @@ def test_residual_match_improves_with_x():
     with mp.workdps(60):
         for x, j0 in ((10, 13), (15, 15), (20, 24)):
             resid = residual_F(p, x, j0)
-            es, _ = exp_small_optimal(p, x, table=t, dps=75)
+            es, _ = exp_small_optimal(t, x, dps=75)
             rels.append(abs(resid - es) / abs(es))
     assert rels[0] > rels[1] > rels[2]
 
@@ -273,24 +309,28 @@ def test_n5_intermediate_in_residual():
     t = stirling_matching_coeffs(p, 100)
     j0 = optimal_truncation_index(t, 40)
     resid = residual_F(p, 40, j0)
-    sub = subdominant_series(p, t, 40, j0 + 1, dps=80).value
-    inter = intermediate_series_n5(p, t, 40, j0 + 1, dps=80).value
+    sub = subdominant_series(t, 40, j0 + 1, dps=80).value
+    inter = intermediate_series_n5(t, 40, j0 + 1, dps=80).value
     with mp.workdps(60):
         # frozen regression value for the intermediate level at x=40
         assert abs(inter - mp.mpf("4.346149086e-8")) <= mp.mpf("1e-15")
         assert abs(resid - sub - inter) <= mp.mpf("0.6") * abs(resid - sub)
 
 
-def test_exp_small_optimal_includes_intermediate():
-    p = derive_params(5, ("1/5", "2/5", "3/5", "9/10"), precision=60)
+@pytest.mark.parametrize("n, bs, x", [(5, (F(1, 5), F(2, 5), F(3, 5), F(9, 10)), 40)]
+                         + [(n, bs, x) for n, bs in SWEEP_SETS for x in (8, F(23, 2), 14)])
+def test_exp_small_optimal_includes_intermediate(n, bs, x):
+    # one index: the least term of the table's own scan, at any precision
+    p = derive_params(n, bs, precision=60)
     t = stirling_matching_coeffs(p, 100)
-    es, j0 = exp_small_optimal(p, 40, table=t, dps=80)
-    assert j0 == optimal_truncation_index(t, 40)
-    sub = subdominant_series(p, t, 40, j0 + 1, dps=80).value
-    inter = intermediate_series_n5(p, t, 40, j0 + 1, dps=80).value
+    es, j0 = exp_small_optimal(t, x, dps=80)
+    assert j0 == exp_small_optimal(t, x)[1] == optimal_truncation_index(t, x)
+    levels = [subdominant_series(t, x, j0 + 1, dps=80).value]
+    if n == 5:
+        levels.append(intermediate_series_n5(t, x, j0 + 1, dps=80).value)
     with mp.workdps(80):
-        assert inter != 0
-        assert abs(es - (sub + inter)) <= abs(inter) * mp.mpf("1e-70")
+        assert levels[-1] != 0
+        assert abs(es - mp.fsum(levels)) <= max(abs(v) for v in levels) * mp.mpf("1e-70")
 
 
 def test_sine_product_split_identities():
@@ -328,7 +368,7 @@ def test_sine_product_split_identities():
 
 def test_compound_matches_series_n5_generic():
     p = derive_params(5, ("1/5", "2/5", "3/5", "9/10"), precision=60)
-    c = compound_eval(p, 30, dps=60)
+    c = compound_eval(p, 30)
     s = series_eval(p, 30, target_digits=30)
     with mp.workdps(60):
         assert abs(c.value - s.value) <= abs(s.value) * mp.mpf("1e-13")
@@ -342,7 +382,7 @@ def test_remainder_scaling_mini():
     with mp.workdps(80):
         for x in (20, 30, 40):
             s = series_eval(p, x, target_digits=25)
-            d = dominant_series(p, t, x, 5, dps=80)
+            d = dominant_series(t, x, 5, dps=80)
             xm = mp.mpf(x)
             theta = mp.mpf(p.theta.numerator) / p.theta.denominator
             ratios.append(abs(s.value - d.value) / (xm ** theta * mp.exp(xm / 2) * xm ** -5))
@@ -403,23 +443,12 @@ def test_level_evaluator_matches_per_term_reference(case):
     n, bs, level, x, M = case
     p = derive_params(n, bs, precision=PROPERTY_DPS)
     t = stirling_matching_coeffs(p, M + 1)
-    got = LEVELS[level](p, t, x, M).value
+    got = LEVELS[level](t, x, M).value
     with mp.workdps(PROPERTY_DPS):
         xm = _q(x)
         want, scale = _reference_level(p, t, xm, M, level)
         magnitude = mp.fsum(abs(t[j]) * xm ** (-j) for j in range(M))
         assert abs(got - want) <= mp.mpf(10) ** (5 - PROPERTY_DPS) * scale * magnitude
-
-
-#: the benchmark's compound_sweep sets, two per order
-SWEEP_SETS = (
-    (3, (F(2, 3), F(5, 6))),
-    (4, (F(-1, 4), F(1, 2), F(5, 8))),
-    (5, (F(1, 3), F(1, 2), F(2, 3), F(5, 4))),
-    (3, (F(1, 6), F(3, 4))),
-    (4, (F(1, 3), F(2, 3), F(7, 6))),
-    (5, (F(-1, 3), F(1, 4), F(3, 4), F(3, 2))),
-)
 
 
 def _grid_draws(seed):
@@ -462,12 +491,12 @@ def test_level_sums_from_residue_classes_match_term_by_term(n, bs):
     for x in ONE_PASS_X:
         for M in ONE_PASS_M:
             for level, k in angles.items():
-                got = LEVELS[level](p, t, x, M).value
+                got = LEVELS[level](t, x, M).value
                 want = _term_by_term(p, t, x, M, k, p.dps + 20)
                 with mp.workdps(p.dps + 20):
                     assert abs(got - want) <= floor * abs(got), (level, x, M)
         c = compound_eval(p, x)
         tc = stirling_matching_coeffs(p, c.terms_used + 1)
-        parts = [LEVELS[level](p, tc, x, c.terms_used).value for level in angles]
+        parts = [LEVELS[level](tc, x, c.terms_used).value for level in angles]
         with mp.workdps(p.dps + 20):
             assert abs(c.value - mp.fsum(parts)) <= floor * abs(c.value), x

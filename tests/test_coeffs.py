@@ -140,6 +140,19 @@ def test_stirling_coefficients_within_one_ulp(n, bs):
             assert abs(u - ref) <= mp.ldexp(1, mp.mag(ref) - mp.prec)
 
 
+@pytest.mark.parametrize("n, bs", [(3, ("7/12", "5/4")), (4, ("1/6", "5/12", "3/2")),
+                                   (5, ("1/12", "1/3", "7/12", "5/3"))])
+def test_shortest_tables_bound_the_pochhammer_rows(n, bs):
+    # M = 1 builds no row; M = 2 builds only 1/(n s + theta'), and c_1 is its closed form
+    p = derive_params(n, bs, precision=47)   # a precision no other test uses: fresh builds
+    assert stirling_matching_coeffs(p, 1).c == (1,)
+    c1 = stirling_matching_coeffs(p, 2)[1]
+    want = general_c1(p)
+    with mp.workdps(p.dps):
+        assert want != 0
+        assert abs(c1 - want) <= mp.ldexp(1, mp.mag(want) - mp.prec)
+
+
 @pytest.mark.parametrize("d_theta, d_theta_prime", [pytest.param(1, -1, id="theta-vs-sigma"),
                                                      pytest.param(0, 1, id="theta-prime-only")])
 def test_cancellation_check_guards_inconsistent_params(d_theta, d_theta_prime):
@@ -238,11 +251,11 @@ def test_coeff_table_metadata(table1_params, table1_stirling, table1_riney):
     assert len(table1_stirling) == 26
     assert table1_stirling.method == "stirling"
     assert table1_riney.method == "riney"
-    assert table1_stirling.est_digits == table1_params.dps - 10
+    assert table1_stirling.params == table1_riney.params == table1_params
     assert table1_stirling[0] == 1
-    mags = table1_stirling.term_magnitudes(10)
+    u = table1_stirling.scaled_terms(10)
     with mp.workdps(50):
-        assert abs(mags[2] - abs(table1_stirling[2]) / 100) <= mp.mpf("1e-45")
+        assert abs(u[2] - table1_stirling[2] / 100) <= mp.mpf("1e-45")
 
 
 def _builds(caplog):

@@ -8,7 +8,6 @@ from hyperbessel import ArityMismatch, OrderUnsupported, PoleParameter, derive_p
 
 def test_thirds_case():
     p = derive_params(3, (Fraction(1, 3), Fraction(2, 3)))
-    assert p.kappa == 3
     assert p.theta == 0
     assert p.theta_prime == 1
     with mp.workdps(50):
@@ -28,7 +27,6 @@ def test_two_thirds_five_sixths():
 def test_n4_quarters():
     p = derive_params(4, ("1/4", "2/4", "3/4"))
     assert p.theta == 0
-    assert p.sigma_n == Fraction(3, 2)
     with mp.workdps(50):
         want = 4 ** mp.mpf("-0.5") / (2 * mp.pi) ** mp.mpf("1.5")
         assert abs(p.A0 - want) <= abs(want) * mp.mpf("1e-48")
@@ -37,7 +35,6 @@ def test_n4_quarters():
 def test_n5_theta():
     p = derive_params(5, ("1/5", "2/5", "3/5", "9/10"))
     assert p.theta == Fraction(-1, 10)
-    assert p.kappa == 5
 
 
 def test_pole_parameter_rejected():
@@ -70,7 +67,6 @@ def test_permutation_symmetry():
     p1 = derive_params(4, ("1/4", "5/8", "7/3"))
     p2 = derive_params(4, ("7/3", "1/4", "5/8"))
     assert p1.theta == p2.theta
-    assert p1.sigma_n == p2.sigma_n
     assert p1.A0 == p2.A0
 
 
