@@ -5,19 +5,24 @@ For x -> +infinity every exponential level of F_n is one formula,
     2 A0 x^theta e^(x cos(k pi/n)) Re[ w e^(i x sin(k pi/n)) sum_j c_j (e^(-i k pi/n)/x)^j ],
 
 which differs between levels only in the angle k and the complex start
-weight w:
+weight w.  Each w is a sum of exact terms c e^(i pi q), c and q rational:
 
-    n   level          k   w
-    all dominant       1   e^(i pi theta/n)
-    3   subdominant    3   cos(pi(a-b))
-    4   subdominant    3   -e^(3 i pi theta/4) sum_r e^(2 pi i b_r)
-    5   intermediate   3   -e^(3 i pi theta/5) sum_r e^(2 pi i b_r)
-    5   subdominant    5   sum_{r<=3} cos(pi(theta + 2 b_r + 2 b_4))
+    n      level          k   w
+    all    dominant       1   e^(i pi theta/n)
+    4      subdominant    3   -sum_r e^(i pi (3 theta/n + 2 b_r))
+    5      intermediate   3   -sum_r e^(i pi (3 theta/5 + 2 b_r))
+    3, 5   subdominant    n   sum over the splits of the b's into two halves
+                              of cos(pi d), d = sum(one half) - sum(other half)
 
-The k = n levels sit at e^(-x): there e^(-i k pi/n) is exactly -1, so their
-sums alternate and vanish exactly when w does (half-integer a-b for n = 3).
-Where the k = 3 amplitude sum_r e^(2 pi i b_r) cancels (``_roots_cancel``) w
-is exactly 0.  Each level reads its parameter set from its coefficient table.
+For n = 3 the k = n row is cos(pi(a-b)); for n = 5 it is
+sum_{r<=3} cos(pi(theta + 2 b_r + 2 b_4)), since theta + 2 b_r + 2 b_4 =
+2 + (b_r + b_4) - (b_s + b_t).  The k = n levels sit at e^(-x): there
+e^(-i k pi/n) is exactly -1, so their sums alternate.  One rule decides for
+every level whether w is exactly 0 (``_vanishes``): the terms are N-th roots
+of unity with rational coefficients, and the sum is reduced in the cyclotomic
+field one prime of N at a time.  Where w vanishes the level and its estimate
+are exactly 0, not rounding noise.  Each level reads its parameter set from
+its coefficient table.
 
 Every evaluation makes one pass over the coefficient table.  The scaled
 terms u_j = c_j x^(-j) are formed once, by a running product of 1/x
@@ -41,9 +46,10 @@ magnitude, so all levels share one index).
 """
 
 import functools
+import itertools
 import logging
 from fractions import Fraction
-from math import ceil, cos, log, pi
+from math import ceil, cos, lcm, log, pi
 
 from mpmath import mp
 
@@ -67,32 +73,83 @@ _ANGLES = {
 GUARD_DPS = 10
 
 
-def _roots_cancel(bs):
-    """Whether sum_r e^(2 pi i b_r) is exactly 0, for three or four rational b_r.
+def _weight_terms(params, k):
+    """The start weight w of the level at angle k as exact pairs (c, q), w = sum c e^(i pi q)."""
+    n, bs, theta = params.n, params.b_list, params.theta
+    if k == 1:
+        return ((Fraction(1), theta / n),)
+    if k < n:
+        return tuple((Fraction(-1), 3 * theta / n + 2 * b) for b in bs)
+    half, terms = Fraction(1, 2), []
+    for rest in itertools.combinations(bs[1:], len(bs) // 2 - 1):
+        d = 2 * (bs[0] + sum(rest)) - sum(bs)
+        terms += [(half, d), (half, -d)]
+    return tuple(terms)
 
-    No minimal vanishing sum of roots of unity has weight 4 (Lam & Leung,
-    J. Algebra 224 (2000)): on the sorted residues r = b mod 1, three terms
-    cancel only as a rotated cube-root triple, four only as two antipodal pairs.
+
+def _prime_factors(m):
+    """The prime factors of m, ascending and with multiplicity, by trial division up to sqrt(m)."""
+    primes, d = [], 2
+    while d * d <= m:
+        while m % d == 0:
+            primes.append(d)
+            m //= d
+        d += 1 if d == 2 else 2
+    return primes + [m] if m > 1 else primes
+
+
+def _vanishes(terms):
+    """Whether sum c e^(i pi q) over the exact ``terms`` is 0.
+
+    With N = 2 lcm(denominators of q) the sum is sum_a C_a z^a, z = e^(2 pi i/N),
+    its coefficients scaled to integers.
     """
-    r = sorted(b % 1 for b in bs)
-    if len(r) == 3:
-        return r[1] - r[0] == r[2] - r[1] == Fraction(1, 3)
-    return r[2] - r[0] == r[3] - r[1] == Fraction(1, 2)
+    half = lcm(*(q.denominator for _, q in terms))
+    scale = lcm(*(c.denominator for c, _ in terms))
+    powers = {}
+    for c, q in terms:
+        a = q.numerator * (half // q.denominator) % (2 * half)
+        powers[a] = powers.get(a, 0) + c.numerator * (scale // c.denominator)
+    return _cyclotomic_zero(powers, 2 * half, _prime_factors(2 * half))
+
+
+def _cyclotomic_zero(powers, order, primes):
+    """Whether sum_a powers[a] z^a = 0, z a primitive ``order``-th root of unity.
+
+    Splits off the least prime p of ``order`` (``primes``, ascending) and
+    recurses in Q(z'), z' a primitive (order/p)-th root.  If p^2 | order,
+    1, z, ..., z^(p-1) are a basis over Q(z^p) = Q(z'), so each class of
+    a mod p vanishes on its own.  If p exactly divides order, z^a = z_p^(a u)
+    z'^(a v) by CRT (v = p^(-1) mod order/p) and sum_i A_i z_p^i = 0 only for
+    equal A_i, so all classes must be equal, and 0 if one is empty.
+    """
+    powers = {a: c for a, c in powers.items() if c}
+    if len(powers) < 2:
+        return not powers
+    p, rest = primes[0], primes[1:]
+    sub, squared = order // p, p in rest
+    v = None if squared else pow(p, -1, sub)
+    classes = {}
+    for a, c in powers.items():
+        e = a // p if squared else a * v % sub
+        cls = classes.setdefault(a % p, {})
+        cls[e] = cls.get(e, 0) + c
+    groups = list(classes.values())
+    if squared or len(groups) < p:
+        return all(_cyclotomic_zero(g, sub, rest) for g in groups)
+    first = groups[0]
+    return all(_cyclotomic_zero({e: g.get(e, 0) - first.get(e, 0) for e in g.keys() | first.keys()},
+                                sub, rest) for g in groups[1:])
 
 
 @functools.lru_cache(maxsize=256)
 def _start_weight(params, k, working):
-    """The complex start weight w of the level at angle k (see the module table)."""
-    n, bs, theta = params.n, params.b_list, params.theta
+    """The complex start weight w of the level at angle k, from its exact terms; 0 where it vanishes."""
+    terms = _weight_terms(params, k)
+    if _vanishes(terms):
+        return mp.zero
     with mp.workdps(working):
-        if k == n and n == 3:
-            return mp.cospi(to_mpf(bs[0] - bs[1], working))  # exact 0 at half-integer a-b
-        if k == n:
-            return mp.fsum(mp.cospi(to_mpf(theta + 2 * b + 2 * bs[3], working)) for b in bs[:3])
-        if k != 1 and _roots_cancel(bs):
-            return mp.zero
-        amplitude = 1 if k == 1 else -mp.fsum(mp.expjpi(to_mpf(2 * b, working)) for b in bs)
-        return amplitude * mp.expjpi(to_mpf(k * theta / n, working))
+        return mp.fdot((to_mpf(c, working), mp.expjpi(to_mpf(q, working))) for c, q in terms)
 
 
 @functools.lru_cache(maxsize=64)

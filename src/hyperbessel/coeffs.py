@@ -255,7 +255,7 @@ def riney_coeffs(params, M):
     if M < 1:
         raise ValueError("need at least one coefficient")
     gap = _riney_singularity_gap(params)
-    if gap == 0 or float(gap) < 10.0 ** (-params.dps / 2):
+    if gap ** 2 < Fraction(1, 10 ** params.dps):  # exact: a float threshold underflows
         raise SingularRineyWeights(
             f"weights singular or near-singular for {params.describe()} (gap {gap}); "
             "use stirling_matching_coeffs")

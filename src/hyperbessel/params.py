@@ -31,7 +31,7 @@ class ExpansionParams:
     """
 
     n: int
-    b_list: tuple          # exact Fractions
+    b_list: tuple          # exact Fractions, ascending
     dps: int
     theta: Fraction
     theta_prime: Fraction
@@ -45,12 +45,14 @@ class ExpansionParams:
 def derive_params(n, b_list, precision=DEFAULT_DPS):
     """Validate (n, b_list) and derive all constants at ``precision`` digits.
 
-    Raises OrderUnsupported, ArityMismatch or PoleParameter on bad input.
+    The order of ``b_list`` is ignored: it is stored sorted, so one parameter
+    multiset is one ``ExpansionParams``.  Raises OrderUnsupported,
+    ArityMismatch or PoleParameter on bad input.
     """
     if n not in SUPPORTED_ORDERS:
         raise OrderUnsupported(f"order n={n} not in {SUPPORTED_ORDERS}")
     dps = check_dps(precision)
-    bs = tuple(to_fraction(b) for b in b_list)
+    bs = tuple(sorted(to_fraction(b) for b in b_list))
     if len(bs) != n - 1:
         raise ArityMismatch(f"order n={n} needs {n - 1} denominator parameters, got {len(bs)}")
     for b in bs:

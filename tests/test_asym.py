@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,17 +109,77 @@ def test_intermediate_vanishes_on_two_antipodal_pairs():
     assert subdominant_series(t, 12, 20).value != 0
 
 
-@pytest.mark.parametrize("terms", [3, 4])
-def test_roots_cancel_agrees_with_the_amplitude_on_the_twelfths(terms):
-    # every multiset of residues k/12, shifted by whole numbers as b may be
-    cancelling = 0
+def _closed_form_weight(p, k):
+    """|w| at 60 digits from the closed forms of the module table, not from the exact terms."""
+    n, bs = p.n, p.b_list
+    if k == 1:
+        return mp.one
+    if k < n:
+        return abs(mp.fsum(mp.expjpi(to_mpf(2 * b, 60)) for b in bs))
+    if n == 3:
+        return abs(mp.cospi(to_mpf(bs[0] - bs[1], 60)))
+    return abs(mp.fsum(mp.cospi(to_mpf(p.theta + 2 * b + 2 * bs[3], 60)) for b in bs[:3]))
+
+
+#: exact zeros among the grid's start weights, per order and angle
+TWELFTHS_ZEROS = {3: {1: 0, 3: 12}, 4: {1: 0, 3: 8}, 5: {1: 0, 3: 42, 5: 150}}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_start_weight_is_exactly_zero_where_it_vanishes_on_the_twelfths(n):
+    # every multiset of residues k/12, as it is and shifted by whole numbers, every level
+    found = dict.fromkeys(TWELFTHS_ZEROS[n], 0)
     with mp.workdps(60):
-        for ks in itertools.combinations_with_replacement(range(12), terms):
-            bs = tuple(F(k, 12) + i for i, k in enumerate(ks))
-            amplitude = abs(mp.fsum(mp.expjpi(to_mpf(2 * b, 60)) for b in bs))
-            assert asym._roots_cancel(bs) == (amplitude < mp.mpf("1e-50")), bs
-            cancelling += asym._roots_cancel(bs)
-    assert cancelling == {3: 4, 4: 21}[terms]
+        for ks in itertools.combinations_with_replacement(range(1, 13), n - 1):
+            for shift in (0, 1):
+                p = derive_params(n, tuple(F(k, 12) + shift * i for i, k in enumerate(ks)), 60)
+                for k in asym._ANGLES[n].values():
+                    vanishes = asym._start_weight(p, k, 60) == 0
+                    assert vanishes == (_closed_form_weight(p, k) < mp.mpf("1e-50")), (p.b_list, k)
+                    found[k] += vanishes
+    assert found == TWELFTHS_ZEROS[n]
+
+
+@pytest.mark.parametrize("bs", [(F(1, 12), F(1, 12), F(5, 12), F(3, 4)),
+                                (F(1, 12), F(1, 6), F(5, 12), F(3, 4)),
+                                (F(1, 12), F(1, 6), F(1, 2), F(5, 6)),
+                                (F(1, 5), F(2, 5), F(3, 5), F(9, 10))])
+def test_n5_subdominant_is_exactly_zero_where_its_weight_cancels(bs):
+    t = stirling_matching_coeffs(derive_params(5, bs), 30)
+    for M in (1, 20):
+        sub = subdominant_series(t, 12, M)
+        assert sub.value == 0 and sub.error_estimate == 0
+
+
+def test_parameter_order_is_ignored():
+    # the k = 5 weight of ``vanishing`` came out as +-7.35e-51 by the order of b
+    vanishing = (F(1, 6), F(1, 3), F(3, 4), F(5, 4))
+    for bs in (vanishing, (F(-1, 3), F(1, 4), F(3, 4), F(3, 2))):
+        p, q = derive_params(5, bs), derive_params(5, bs[::-1])
+        assert p == q and p.b_list == tuple(sorted(bs))
+        for x in (8, 20):
+            a, b = compound_eval(p, x), compound_eval(q, x)
+            assert (a.value, a.error_estimate, a.terms_used) == (b.value, b.error_estimate, b.terms_used)
+        sub = subdominant_series(stirling_matching_coeffs(q, 30), 20, 20)
+        assert (sub.value == 0) == (bs == vanishing)
+
+
+def test_start_weight_off_the_grid_is_never_zero_and_stays_cheap():
+    # float-derived b (denominators near 2^52) and large-prime denominators
+    rng = random.Random(5)
+    for _ in range(200):
+        n, big = rng.choice((3, 4, 5)), rng.choice((10007, 999983, 1000003, 1000033))
+        bs = [F(rng.uniform(0.01, 3)) if rng.random() < 0.5 else F(rng.randint(1, 3 * big), big)
+              for _ in range(n - 1)]
+        p = derive_params(n, bs)
+        for k in asym._ANGLES[n].values():
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                w = asym._start_weight.__wrapped__(p, k, p.dps)
+                seconds.append(time.perf_counter() - start)
+            assert w != 0, (p.b_list, k)
+            assert min(seconds) < 2e-3, (p.b_list, k, seconds)
 
 
 def test_subdominant_n5_fifths():
@@ -402,23 +463,29 @@ def _reference_level(p, t, x, M, level):
     """A level summed term by term in its cosine form; returns (value, |prefactor w0|).
 
     The oscillating levels take one cos and one sin per term; the e^(-x)
-    levels (k = n) alternate in sign.
+    levels (k = n) alternate in sign.  The weights are formed from the closed
+    forms at twice the precision, and a weight below 10^(-3 PROPERTY_DPS/2)
+    there is taken as an exact 0.
     """
     n, bs, theta = p.n, p.b_list, _q(p.theta)
     k = {"dominant": 1, "intermediate": 3, "subdominant": 3 if n == 4 else n}[level]
     pref = 2 * p.A0 * x ** theta * mp.exp(x * mp.cospi(mp.mpf(k) / n))
+    fine = 2 * PROPERTY_DPS
+    with mp.workdps(fine):
+        c, s = mp.one, mp.zero
+        if k == n and n == 3:
+            c = mp.cospi(to_mpf(bs[0] - bs[1], fine))
+        elif k == n:
+            c = mp.fsum(mp.cospi(to_mpf(p.theta + 2 * b + 2 * bs[3], fine)) for b in bs[:3])
+        elif k == 3:
+            c = -mp.fsum(mp.cospi(to_mpf(2 * b, fine)) for b in bs)
+            s = -mp.fsum(mp.sinpi(to_mpf(2 * b, fine)) for b in bs)
+        if mp.hypot(c, s) < mp.mpf(10) ** (-3 * PROPERTY_DPS // 2):
+            c, s = mp.zero, mp.zero
+    c, s = +c, +s
     if k == n:
-        if n == 3:
-            w0 = mp.cospi(_q(bs[0] - bs[1]))
-        else:
-            w0 = mp.fsum(mp.cospi(_q(p.theta + 2 * b + 2 * bs[3])) for b in bs[:3])
         total = mp.fsum((-1) ** j * t[j] * x ** (-j) for j in range(M))
-        return pref * w0 * total, abs(pref * w0)
-    if k == 1:
-        c, s = mp.mpf(1), mp.mpf(0)
-    else:
-        c = -mp.fsum(mp.cospi(_q(2 * b)) for b in bs)
-        s = -mp.fsum(mp.sinpi(_q(2 * b)) for b in bs)
+        return pref * c * total, abs(pref * c)
     osc = x * mp.sinpi(mp.mpf(k) / n)
     total = mp.mpf(0)
     for j in range(M):

@@ -99,6 +99,19 @@ def test_riney_singularities():
         riney_coeffs(derive_params(3, (1 + F(1, 10 ** 30), F(1, 2))), 5)
 
 
+@pytest.mark.parametrize("dps, gap, singular", [(700, F(1, 10 ** 400), True),
+                                                 (100, F(1, 10 ** 60), True),
+                                                 (100, F(1, 10 ** 40), False)])
+def test_riney_singularity_threshold_is_exact_at_any_precision(dps, gap, singular):
+    # the threshold gap < 10^(-dps/2) is 0.0 in floats once dps is near 650
+    p = derive_params(3, (F(2, 3), F(2, 3) + gap), precision=dps)
+    if singular:
+        with pytest.raises(SingularRineyWeights):
+            riney_coeffs(p, 5)
+    else:
+        assert len(riney_coeffs(p, 5)) == 5
+
+
 def test_riney_is_n3_only():
     with pytest.raises(OrderUnsupported):
         riney_coeffs(derive_params(4, ("1/4", "1/2", "3/4")), 5)
