@@ -20,7 +20,8 @@ sum_{r<=3} cos(pi(theta + 2 b_r + 2 b_4)), since theta + 2 b_r + 2 b_4 =
 e^(-i k pi/n) is exactly -1, so their sums alternate.  One rule decides for
 every level whether w is exactly 0 (``_vanishes``): the terms are N-th roots
 of unity with rational coefficients, and the sum is reduced in the cyclotomic
-field one prime of N at a time.  Where w vanishes the level and its estimate
+field one prime of N at a time, where only the primes up to the number of
+terms need to be found.  Where w vanishes the level and its estimate
 are exactly 0, not rounding noise.  Each level reads its parameter set from
 its coefficient table.
 
@@ -87,22 +88,17 @@ def _weight_terms(params, k):
     return tuple(terms)
 
 
-def _prime_factors(m):
-    """The prime factors of m, ascending and with multiplicity, by trial division up to sqrt(m)."""
-    primes, d = [], 2
-    while d * d <= m:
-        while m % d == 0:
-            primes.append(d)
-            m //= d
-        d += 1 if d == 2 else 2
-    return primes + [m] if m > 1 else primes
-
-
 def _vanishes(terms):
     """Whether sum c e^(i pi q) over the exact ``terms`` is 0.
 
     With N = 2 lcm(denominators of q) the sum is sum_a C_a z^a, z = e^(2 pi i/N),
-    its coefficients scaled to integers.
+    its coefficients scaled to integers.  Write N = S L, where S holds the
+    primes of N up to the number m of terms and L the rest.  Splitting off a
+    prime p > m of L (``_cyclotomic_zero``) always leaves a class of a mod p
+    empty, so every class must vanish alone; over all of L that groups the
+    terms by a mod L.  In a group a = r + L t, z^a = z^r e^(2 pi i t/S), so
+    each group is reduced in Q(e^(2 pi i/S)) over the primes of S only, and
+    no prime larger than m is ever looked for.
     """
     half = lcm(*(q.denominator for _, q in terms))
     scale = lcm(*(c.denominator for c, _ in terms))
@@ -110,7 +106,16 @@ def _vanishes(terms):
     for c, q in terms:
         a = q.numerator * (half // q.denominator) % (2 * half)
         powers[a] = powers.get(a, 0) + c.numerator * (scale // c.denominator)
-    return _cyclotomic_zero(powers, 2 * half, _prime_factors(2 * half))
+    powers = {a: c for a, c in powers.items() if c}
+    small, large = [], 2 * half
+    for p in range(2, len(powers) + 1):
+        while large % p == 0:
+            small.append(p)
+            large //= p
+    groups = {}
+    for a, c in powers.items():
+        groups.setdefault(a % large, {})[a // large] = c
+    return all(_cyclotomic_zero(g, 2 * half // large, small) for g in groups.values())
 
 
 def _cyclotomic_zero(powers, order, primes):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -109,16 +110,18 @@ def test_intermediate_vanishes_on_two_antipodal_pairs():
     assert subdominant_series(t, 12, 20).value != 0
 
 
-def _closed_form_weight(p, k):
-    """|w| at 60 digits from the closed forms of the module table, not from the exact terms."""
-    n, bs = p.n, p.b_list
-    if k == 1:
-        return mp.one
-    if k < n:
-        return abs(mp.fsum(mp.expjpi(to_mpf(2 * b, 60)) for b in bs))
-    if n == 3:
-        return abs(mp.cospi(to_mpf(bs[0] - bs[1], 60)))
-    return abs(mp.fsum(mp.cospi(to_mpf(p.theta + 2 * b + 2 * bs[3], 60)) for b in bs[:3]))
+def _closed_form_weight(p, k, dps):
+    """The complex start weight w at ``dps`` digits from the closed forms of the
+    module table, not from the exact terms."""
+    n, bs, theta = p.n, p.b_list, p.theta
+    with mp.workdps(dps):
+        if k == 1:
+            return mp.expjpi(to_mpf(theta / n, dps))
+        if k < n:
+            return -mp.fsum(mp.expjpi(to_mpf(3 * theta / n + 2 * b, dps)) for b in bs)
+        if n == 3:
+            return mp.cospi(to_mpf(bs[0] - bs[1], dps))
+        return mp.fsum(mp.cospi(to_mpf(theta + 2 * b + 2 * bs[3], dps)) for b in bs[:3])
 
 
 #: exact zeros among the grid's start weights, per order and angle
@@ -135,7 +138,8 @@ def test_start_weight_is_exactly_zero_where_it_vanishes_on_the_twelfths(n):
                 p = derive_params(n, tuple(F(k, 12) + shift * i for i, k in enumerate(ks)), 60)
                 for k in asym._ANGLES[n].values():
                     vanishes = asym._start_weight(p, k, 60) == 0
-                    assert vanishes == (_closed_form_weight(p, k) < mp.mpf("1e-50")), (p.b_list, k)
+                    assert vanishes == (abs(_closed_form_weight(p, k, 60)) < mp.mpf("1e-50")), \
+                        (p.b_list, k)
                     found[k] += vanishes
     assert found == TWELFTHS_ZEROS[n]
 
@@ -164,22 +168,55 @@ def test_parameter_order_is_ignored():
         assert (sub.value == 0) == (bs == vanishing)
 
 
-def test_start_weight_off_the_grid_is_never_zero_and_stays_cheap():
-    # float-derived b (denominators near 2^52) and large-prime denominators
-    rng = random.Random(5)
-    for _ in range(200):
-        n, big = rng.choice((3, 4, 5)), rng.choice((10007, 999983, 1000003, 1000033))
-        bs = [F(rng.uniform(0.01, 3)) if rng.random() < 0.5 else F(rng.randint(1, 3 * big), big)
-              for _ in range(n - 1)]
+#: large primes and semiprimes, up to (10^9 + 7)(10^9 + 9)
+LARGE_DENOMINATORS = (10007, 999983, 1000003, 1000033, 999999999989,
+                      1000003 * 1000033, (10 ** 9 + 7) * (10 ** 9 + 9))
+
+
+def _off_grid_sets(count, seed):
+    """Float-derived b (denominators near 2^52) and b over large primes and
+    semiprimes, each b drawn on its own, so one set can hold several of them."""
+    rng = random.Random(seed)
+    yield 3, ("1/1000000016000000063", "2/3")
+    yield 3, (F(1, 1000003), F(2, 1000033))
+    for _ in range(count):
+        n = rng.choice((3, 4, 5))
+        bs = []
+        for _ in range(n - 1):
+            d = rng.choice(LARGE_DENOMINATORS) * rng.choice((1, 6))
+            bs.append(F(rng.uniform(0.01, 3)) if rng.random() < 0.3 else F(rng.randint(1, 3 * d), d))
+        yield n, bs
+
+
+def test_start_weight_off_the_grid_is_never_zero_and_stays_cheap(monkeypatch):
+    # the reduction only looks for primes of N up to the number of terms; its
+    # steps are bounded by the terms and by the primes 2, 3, 5 of N, and do not
+    # grow with the large primes.  An uncached weight takes about 0.2 ms; the
+    # 50 ms bound leaves 250 times that, where a search for the primes of a
+    # semiprime near 10^18 would take minutes.
+    steps, reduce = [0], asym._cyclotomic_zero
+
+    def counted(*args):
+        steps[0] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(asym, "_cyclotomic_zero", counted)
+    for n, bs in _off_grid_sets(200, 5):
         p = derive_params(n, bs)
         for k in asym._ANGLES[n].values():
+            terms = asym._weight_terms(p, k)
+            small, N = 0, 2 * math.lcm(*(q.denominator for _, q in terms))
+            for prime in (2, 3, 5):
+                while N % prime == 0:
+                    small, N = small + 1, N // prime
             seconds = []
             for _ in range(3):
-                start = time.perf_counter()
+                steps[0], start = 0, time.perf_counter()
                 w = asym._start_weight.__wrapped__(p, k, p.dps)
                 seconds.append(time.perf_counter() - start)
             assert w != 0, (p.b_list, k)
-            assert min(seconds) < 2e-3, (p.b_list, k, seconds)
+            assert steps[0] <= len(terms) * (small + 1), (p.b_list, k, steps[0])
+            assert min(seconds) < 0.05, (p.b_list, k, seconds)
 
 
 def test_subdominant_n5_fifths():
@@ -460,36 +497,28 @@ def _q(value):
 
 
 def _reference_level(p, t, x, M, level):
-    """A level summed term by term in its cosine form; returns (value, |prefactor w0|).
+    """A level summed term by term in its cosine form; returns (value, |prefactor w|).
 
     The oscillating levels take one cos and one sin per term; the e^(-x)
     levels (k = n) alternate in sign.  The weights are formed from the closed
     forms at twice the precision, and a weight below 10^(-3 PROPERTY_DPS/2)
     there is taken as an exact 0.
     """
-    n, bs, theta = p.n, p.b_list, _q(p.theta)
+    n, theta = p.n, _q(p.theta)
     k = {"dominant": 1, "intermediate": 3, "subdominant": 3 if n == 4 else n}[level]
     pref = 2 * p.A0 * x ** theta * mp.exp(x * mp.cospi(mp.mpf(k) / n))
-    fine = 2 * PROPERTY_DPS
-    with mp.workdps(fine):
-        c, s = mp.one, mp.zero
-        if k == n and n == 3:
-            c = mp.cospi(to_mpf(bs[0] - bs[1], fine))
-        elif k == n:
-            c = mp.fsum(mp.cospi(to_mpf(p.theta + 2 * b + 2 * bs[3], fine)) for b in bs[:3])
-        elif k == 3:
-            c = -mp.fsum(mp.cospi(to_mpf(2 * b, fine)) for b in bs)
-            s = -mp.fsum(mp.sinpi(to_mpf(2 * b, fine)) for b in bs)
-        if mp.hypot(c, s) < mp.mpf(10) ** (-3 * PROPERTY_DPS // 2):
-            c, s = mp.zero, mp.zero
-    c, s = +c, +s
+    w = _closed_form_weight(p, k, 2 * PROPERTY_DPS)
+    with mp.workdps(2 * PROPERTY_DPS):
+        if abs(w) < mp.mpf(10) ** (-3 * PROPERTY_DPS // 2):
+            w = mp.zero
+    c, s = +mp.re(w), +mp.im(w)
     if k == n:
         total = mp.fsum((-1) ** j * t[j] * x ** (-j) for j in range(M))
         return pref * c * total, abs(pref * c)
     osc = x * mp.sinpi(mp.mpf(k) / n)
     total = mp.mpf(0)
     for j in range(M):
-        phi = osc + k * mp.pi * (theta - j) / n
+        phi = osc - k * mp.pi * j / n
         total += t[j] * x ** (-j) * (mp.cos(phi) * c - mp.sin(phi) * s)
     return pref * total, abs(pref) * mp.hypot(c, s)
 
