@@ -7,10 +7,11 @@ Evaluates
 for n = 3, 4, 5 (and the hyper-Bessel rescaling J_{m,nu}) by direct summation
 and by the compound asymptotic expansion whose exponentially small levels are
 retained, with two independent engines for the expansion coefficients.
+Any set of exponential levels is summed by one evaluator, ``level_series``;
+``compound_eval`` sums them all on a coefficient table it grows as needed.
 """
 
-from .asym import (compound_eval, dominant_series, exp_small_optimal, intermediate_series_n5,
-                   optimal_truncation_index, residual_F, subdominant_series)
+from .asym import compound_eval, level_series, optimal_truncation_index, residual_F
 from .coeffs import (CoeffTable, bernoulli_number, closed_form_c123, general_c1,
                      riney_coeffs, stirling_matching_coeffs)
 from .errors import (ArityMismatch, CancellationFailure, CoeffShortfall, DomainError,
@@ -32,9 +33,8 @@ __all__ = [
     "PoleParameter", "PowerSeries1OverS", "PrecisionInsufficient",
     "SingularRineyWeights", "TableReport", "TableRow",
     "TailNotConverged", "bernoulli_number", "closed_form_c123", "closed_form_eval",
-    "compound_eval", "derive_params", "dominant_series", "exp_small_optimal",
-    "general_c1", "humbert_J", "humbert_identity_check", "intermediate_series_n5",
-    "optimal_truncation_index", "reproduce_all", "reproduce_table1", "reproduce_table2",
-    "reproduce_table3", "reproduce_table4", "residual_F", "riney_coeffs", "series_eval",
-    "stirling_matching_coeffs", "subdominant_series",
+    "compound_eval", "derive_params", "general_c1", "humbert_J", "humbert_identity_check",
+    "level_series", "optimal_truncation_index", "reproduce_all", "reproduce_table1",
+    "reproduce_table2", "reproduce_table3", "reproduce_table4", "residual_F", "riney_coeffs",
+    "series_eval", "stirling_matching_coeffs",
 ]

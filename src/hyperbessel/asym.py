@@ -1,5 +1,11 @@
 """Compound asymptotic expansions: dominant, intermediate (n = 5) and subdominant levels.
 
+One evaluator, ``level_series(table, x, levels, truncation)``, sums any of
+the levels named in ``LEVELS[n]`` from one coefficient table, at the table's
+precision.  ``compound_eval`` is ``level_series`` over every level on a
+table grown until it holds the truncation; ``residual_F`` subtracts the
+dominant level from the direct series.
+
 For x -> +infinity every exponential level of F_n is one formula,
 
     2 A0 x^theta e^(x cos(k pi/n)) Re[ w e^(i x sin(k pi/n)) sum_j c_j (e^(-i k pi/n)/x)^j ],
@@ -22,8 +28,7 @@ every level whether w is exactly 0 (``_vanishes``): the terms are N-th roots
 of unity with rational coefficients, and the sum is reduced in the cyclotomic
 field one prime of N at a time, where only the primes up to the number of
 terms need to be found.  Where w vanishes the level and its estimate
-are exactly 0, not rounding noise.  Each level reads its parameter set from
-its coefficient table.
+are exactly 0, not rounding noise.
 
 Every evaluation makes one pass over the coefficient table.  The scaled
 terms u_j = c_j x^(-j) are formed once, by a running product of 1/x
@@ -41,14 +46,15 @@ cos/sin(r k pi/n) depend only on (params, k) and (n, k) and are memoized.  For
 k = n the rotations are exactly +-1 and 0.  Sums are exact and rounded once
 (``fsum``/``fdot``), and each result is rounded once to the working precision.
 
-Optimal truncation cuts each sum at the least magnitude |c_j| x^(-j) over the
-available coefficient table (the weight and phase are excluded from the
+Optimal truncation (``OPTIMAL``) cuts every sum at the least magnitude
+|c_j| x^(-j) over the table (the weight and phase are excluded from the
 magnitude, so all levels share one index).
 """
 
 import functools
 import itertools
 import logging
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, cos, lcm, log, pi
 
@@ -57,17 +63,23 @@ from mpmath import mp
 from .coeffs import stirling_matching_coeffs
 from .errors import (CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported,
                      PrecisionInsufficient)
-from .precision import auto_series_dps, check_dps, to_mpf
+from .precision import auto_series_dps, to_mpf
 from .reference import METHOD_ASYMPTOTIC, METHOD_COMPOUND, EvalResult, series_eval
+
+__all__ = ["LEVELS", "OPTIMAL", "compound_eval", "level_series", "optimal_truncation_index",
+           "residual_F", "residual_dps"]
 
 logger = logging.getLogger(__name__)
 
-#: the levels of each order with their angle k: the level sits at e^(x cos(k pi/n))
-_ANGLES = {
+#: the levels of each order, largest first, with their angle k: the level
+#: sits at e^(x cos(k pi/n))
+LEVELS = {
     3: {"dominant": 1, "subdominant": 3},
     4: {"dominant": 1, "subdominant": 3},
     5: {"dominant": 1, "intermediate": 3, "subdominant": 5},
 }
+
+OPTIMAL = "optimal"
 
 #: digits the shared pass carries past the working precision, so that each
 #: level's sums and prefactor are rounded once, at the end
@@ -211,58 +223,52 @@ def _levels(params, u, xm, M, working, angles):
         return levels
 
 
-def _result(method, levels, mags, M, working):
-    """The sum of ``levels`` over M terms; ``error_estimate`` is the first level's.
+def _angles(n, levels):
+    """The angles k of the named ``levels`` of order n, the largest level (least k) first."""
+    try:
+        angles = sorted({LEVELS[n][level] for level in levels})
+    except KeyError as missing:
+        raise OrderUnsupported(f"order n = {n} has no {missing.args[0]} level") from None
+    if not angles:
+        raise ValueError("name at least one level")
+    return angles
 
-    That is its first omitted term, |prefactor w| |c_M| x^(-M) (the last
-    summed term at the end of the table), plus the rounding floor
-    10^(1-dps) |value|.
+
+def level_series(table, x, levels, truncation=OPTIMAL):
+    """The sum of the named ``levels`` of ``table``'s parameter set at x.
+
+    ``levels`` are names from ``LEVELS[n]``; one the order lacks raises
+    OrderUnsupported.  ``truncation`` is ``"optimal"``, every level cut at
+    the least |c_j| x^(-j) over the table (NoMinimumDetected where that is
+    the table's last term), or a term count M (CoeffShortfall past the
+    table).  All sums are at ``table.params.dps`` digits, from one scan of
+    the table.  ``error_estimate`` is the largest requested level's: its
+    first omitted term, |prefactor w| |c_M| x^(-M) (the last summed term at
+    the end of the table), plus the rounding floor 10^(1-dps) |value|.
     """
+    params = table.params
+    angles = _angles(params.n, levels)
+    working = params.dps
+    xm = _positive_x(x, working)
+    if truncation != OPTIMAL:
+        M = int(truncation)
+        if M < 1:
+            raise ValueError("need at least one term")
+        if M > len(table):
+            raise CoeffShortfall(f"requested {M} terms but the table holds {len(table)}")
+    u, mags = _scan(table, xm, working)
+    if truncation == OPTIMAL:
+        M = _least_term(mags) + 1
+    parts = _levels(params, u, xm, M, working, angles)
     trace = tuple(mags[:M])
     omitted = mags[M] if M < len(mags) else trace[-1]
     with mp.workdps(working):
-        value = mp.fsum(v for v, _ in levels)
-        lead, amplitude = levels[0]
+        value = mp.fsum(v for v, _ in parts)
+        lead, amplitude = parts[0]
         # where the expansion terminates, c_M vanishes and only the rounding remains
         error = amplitude * omitted + mp.mpf(10) ** (1 - working) * abs(lead)
-    return EvalResult(value=value, method=method, terms_used=M, max_term_magnitude=max(trace),
-                      error_estimate=error, term_trace=trace)
-
-
-def _bind(table, x, dps):
-    """(x, working digits: ``dps`` or else ``table.params.dps``), x checked positive."""
-    working = check_dps(dps) if dps is not None else table.params.dps
-    return _positive_x(x, working), working
-
-
-def _level_series(level, coeffs, x, M, dps):
-    """One exponential level truncated after M terms (j = 0..M-1)."""
-    params = coeffs.params
-    k = _ANGLES[params.n].get(level)
-    if k is None:
-        raise OrderUnsupported(f"order n = {params.n} has no {level} level")
-    xm, working = _bind(coeffs, x, dps)
-    if M < 1:
-        raise ValueError("need at least one term")
-    if M > len(coeffs):
-        raise CoeffShortfall(f"requested {M} terms but the table holds {len(coeffs)}")
-    u, mags = _scan(coeffs, xm, working)
-    return _result(METHOD_ASYMPTOTIC, _levels(params, u, xm, M, working, (k,)), mags, M, working)
-
-
-def dominant_series(coeffs, x, M, dps=None):
-    """Truncated dominant expansion (M terms, j = 0..M-1)."""
-    return _level_series("dominant", coeffs, x, M, dps)
-
-
-def subdominant_series(coeffs, x, M, dps=None):
-    """Truncated exponentially small expansion (M terms)."""
-    return _level_series("subdominant", coeffs, x, M, dps)
-
-
-def intermediate_series_n5(coeffs, x, M, dps=None):
-    """Truncated middle exponential level, which exists only for n = 5."""
-    return _level_series("intermediate", coeffs, x, M, dps)
+    return EvalResult(value=value, method=METHOD_ASYMPTOTIC, terms_used=M,
+                      max_term_magnitude=max(trace), error_estimate=error, term_trace=trace)
 
 
 def optimal_truncation_index(coeffs, x, allow_boundary=False):
@@ -279,45 +285,26 @@ def optimal_truncation_index(coeffs, x, allow_boundary=False):
     return _least_term(_scan(coeffs, _positive_x(x, working), working)[1], allow_boundary)
 
 
-OPTIMAL = "optimal"
-
-
-def _truncated_scan(params, xm, truncation, working):
-    """The pass over a table long enough for ``truncation``: (u, magnitudes, j0),
-    j0 being the last index summed."""
-    if truncation == OPTIMAL:
-        m = max(32, ceil(2.0 * float(xm)) + 16)
-        for _ in range(3):
-            u, mags = _scan(stirling_matching_coeffs(params, m), xm, working)
-            try:
-                return u, mags, _least_term(mags)
-            except NoMinimumDetected:
-                logger.debug("compound table: no least term within %d coefficients at x = %s, "
-                             "growing to %d", m, xm, ceil(m * 1.5))
-                m = ceil(m * 1.5)
-        raise NoMinimumDetected(f"no confirmed least term within {m} coefficients")
-    m = int(truncation)
-    if m < 1:
-        raise ValueError("fixed truncation must request at least one term")
-    u, mags = _scan(stirling_matching_coeffs(params, max(m + 1, 2)), xm, working)
-    return u, mags, m - 1
-
-
 def compound_eval(params, x, truncation=OPTIMAL):
-    """Dominant (+ intermediate for n = 5) + subdominant, jointly truncated.
+    """``level_series`` over every level of the order, on a table long enough for ``truncation``.
 
-    ``truncation`` is either ``"optimal"`` (least-term index, one shared index
-    since all levels carry the same |c_j| x^(-j) trace) or an integer M (use
-    exactly M terms per level).  ``error_estimate`` is the dominant level's:
-    the magnitude of its first omitted term, prefactor included, plus its
-    rounding floor at ``params.dps`` digits.  x must be positive (DomainError
-    otherwise); it is checked before any coefficient table is built.
+    For ``"optimal"`` the table starts at max(32, 2x + 16) coefficients and
+    grows 1.5-fold, at most twice, while its least term is its last; a term
+    count M takes M + 1 coefficients (at least 2), so that the first omitted
+    term exists.  x must be positive (DomainError otherwise); it is checked
+    before any coefficient table is built.
     """
-    working = params.dps
-    xm = _positive_x(x, working)
-    u, mags, j0 = _truncated_scan(params, xm, truncation, working)
-    levels = _levels(params, u, xm, j0 + 1, working, _ANGLES[params.n].values())
-    return _result(METHOD_COMPOUND, levels, mags, j0 + 1, working)
+    xm = _positive_x(x, params.dps)
+    m = max(32, ceil(2.0 * float(xm)) + 16) if truncation == OPTIMAL else max(int(truncation) + 1, 2)
+    for _ in range(3):
+        try:
+            result = level_series(stirling_matching_coeffs(params, m), xm, LEVELS[params.n], truncation)
+            return replace(result, method=METHOD_COMPOUND)
+        except NoMinimumDetected:
+            logger.debug("compound table: no least term within %d coefficients at x = %s, "
+                         "growing to %d", m, xm, ceil(m * 1.5))
+            m = ceil(m * 1.5)
+    raise NoMinimumDetected(f"no confirmed least term within {m} coefficients")
 
 
 def _residual_target_digits(x):
@@ -337,10 +324,11 @@ def residual_dps(n, x):
 def residual_F(params, x, j0):
     """F_n(x) minus the dominant expansion summed through index j0 (inclusive).
 
-    This is the numerically extracted exponentially small residual; compare it
-    with ``subdominant_series`` (plus the intermediate level for n = 5).  The
-    dominant sum uses coefficients at ``params.dps`` digits, so
-    PrecisionInsufficient is raised when ``params.dps`` is below
+    This is the numerically extracted exponentially small residual; compare
+    it with the levels below the dominant one, ``level_series`` over
+    ``LEVELS[n]`` without ``"dominant"``.  The dominant sum is taken at the
+    direct series' working precision from coefficients at ``params.dps``
+    digits, so PrecisionInsufficient is raised when ``params.dps`` is below
     ``residual_dps(params.n, x)``.
     """
     if j0 < 0:
@@ -352,23 +340,11 @@ def residual_F(params, x, j0):
             f"or more to resolve the e^(-x) level, got {params.dps}")
     target = _residual_target_digits(x)
     working = auto_series_dps(target)
+    xm = _positive_x(x, working)
     base = series_eval(params, x, target_digits=target, dps=working)
-    table = stirling_matching_coeffs(params, j0 + 2)
-    dom = dominant_series(table, x, j0 + 1, dps=working)
+    u = stirling_matching_coeffs(params, j0 + 2).scaled_terms(xm, working + GUARD_DPS)
+    [(dominant, _)] = _levels(params, u, xm, j0 + 1, working, (LEVELS[params.n]["dominant"],))
     with mp.workdps(working):
-        return base.value - dom.value
-
-
-def exp_small_optimal(table, x, dps=None):
-    """All below-dominant levels at their least term over ``table`` (the residual's counterpart).
-
-    For n = 3 and n = 4 this is just the subdominant expansion; for n = 5 it
-    also includes the middle exponential level.  Returns (value, index), the
-    index being ``optimal_truncation_index(table, x)`` at the default ``dps``.
-    """
-    xm, working = _bind(table, x, dps)
-    u, mags = _scan(table, xm, working)
-    j0 = _least_term(mags)
-    below = [k for level, k in _ANGLES[table.params.n].items() if level != "dominant"]
-    with mp.workdps(working):
-        return mp.fsum(v for v, _ in _levels(table.params, u, xm, j0 + 1, working, below)), j0
+        # both sides rounded to ``working`` digits: the guard digits of the
+        # dominant sum are no more accurate than the series value they meet
+        return base.value - (+dominant)

@@ -185,7 +185,7 @@ def main():
 @click.option("--trunc", type=_KeywordOrInt(asym.OPTIMAL, 1), default=asym.OPTIMAL,
               help="compound truncation: 'optimal' or a term count")
 @click.option("--scale", type=click.Choice(["none", "exp-half"]), default="none",
-              help="report value scaled by e^(-x/2)")
+              help="report value and error estimate scaled by e^(-x/2)")
 @precision_option
 @format_option
 @output_option
@@ -229,11 +229,11 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
                         factor = (to_mpf(xv, out_dps) / 3) ** to_mpf(power, out_dps)
                         res = replace(res, value=res.value * factor,
                                       error_estimate=res.error_estimate * abs(factor))
-            value = res.value
             if scale == "exp-half":
                 with mp.workdps(out_dps):
-                    value = value * mp.exp(-to_mpf(xv, out_dps) / 2)
-            rows.append([_xstr(xv), _num(value, out_dps), res.method, str(res.terms_used),
+                    half = mp.exp(-to_mpf(xv, out_dps) / 2)
+                    res = replace(res, value=res.value * half, error_estimate=res.error_estimate * half)
+            rows.append([_xstr(xv), _num(res.value, out_dps), res.method, str(res.terms_used),
                          _num(res.error_estimate, 8)])
     _emit(rows, ["x", "value", "method", "terms", "error_estimate"], fmt, output)
 
@@ -304,8 +304,9 @@ def cmd_residual(n3, n4, n5, a, b, x, j0, precision, fmt, output):
         precision = max(DEFAULT_DPS, asym.residual_dps(_ORDERS[mode], xv))
     params = _build_params(mode, a, b, precision)
     table = coeffs_mod.stirling_matching_coeffs(params, max(40, int(2 * xv) + 16))
-    es, j_least = asym.exp_small_optimal(table, xv, dps=70)
-    j0_val = j_least if j0 == "auto" else j0
+    below = asym.level_series(table, xv, [lvl for lvl in asym.LEVELS[params.n] if lvl != "dominant"])
+    es = below.value
+    j0_val = below.terms_used - 1 if j0 == "auto" else j0
     resid = asym.residual_F(params, xv, j0_val)
     with mp.workdps(40):
         agreement = mp.nstr(abs(resid - es) / abs(es), 4) if es != 0 else "n/a"

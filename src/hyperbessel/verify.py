@@ -23,7 +23,7 @@ from importlib import resources
 
 from mpmath import mp
 
-from .asym import dominant_series, optimal_truncation_index, residual_F, subdominant_series
+from .asym import level_series, optimal_truncation_index, residual_F
 from .coeffs import riney_coeffs, stirling_matching_coeffs
 from .params import derive_params
 
@@ -160,8 +160,8 @@ def reproduce_table2():
         x = int(rec["x"])
         j0 = optimal_truncation_index(table, x, allow_boundary=True)
         exact = series_eval(params, x, target_digits=34)
-        dom = dominant_series(table, x, j0 + 1, dps=80)
-        with mp.workdps(80):
+        dom = level_series(table, x, ("dominant",), j0 + 1)
+        with mp.workdps(params.dps):
             rel_err = abs((dom.value - exact.value) / exact.value)
         ok, rel = _factor_band_match(rel_err, rec["value"])
         rows.append(TableRow(inputs={"b": rec["b_list"], "x": rec["x"], "j0": str(j0)},
@@ -189,7 +189,7 @@ def _residual_rows(table_id, n):
             inputs = {"b": rec["b_list"], "x": rec["x"], "j0": rec["j"]}
         else:
             j0 = optimal_truncation_index(table, x, allow_boundary=True)
-            value = subdominant_series(table, x, j0 + 1, dps=70).value
+            value = level_series(table, x, ("subdominant",), j0 + 1).value
             inputs = {"b": rec["b_list"], "x": rec["x"]}
         ok, rel = _digit_match(value, rec["value"])
         rows.append(TableRow(inputs={**inputs, "quantity": rec["quantity"]},

@@ -21,10 +21,10 @@ import pytest
 from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, closed_form_c123, closed_form_eval, derive_params,
-                         dominant_series, general_c1, humbert_identity_check,
+                         general_c1, humbert_identity_check, level_series,
                          optimal_truncation_index, reproduce_table1, reproduce_table2,
                          reproduce_table3, reproduce_table4, riney_coeffs, series_eval,
-                         stirling_matching_coeffs, subdominant_series)
+                         stirling_matching_coeffs)
 
 F = Fraction
 SEED = 20260810
@@ -186,7 +186,7 @@ def test_criterion_09_remainder_scaling():
         with mp.workdps(80):
             for x in (20, 25, 30, 35, 40):
                 s = series_eval(p, x, target_digits=25)
-                d = dominant_series(t, x, 5, dps=80)
+                d = level_series(t, x, ("dominant",), 5)
                 xm = mp.mpf(x)
                 theta = mp.mpf(p.theta.numerator) / p.theta.denominator
                 ratios.append(abs(s.value - d.value) / (xm ** theta * mp.exp(xm / 2) * xm ** -5))
@@ -217,7 +217,7 @@ def test_criterion_11_exp_small_vanishing():
             t = stirling_matching_coeffs(p, 12)
             for x in (5, 15):
                 for m_terms in (1, 8):
-                    got = subdominant_series(t, x, m_terms)
+                    got = level_series(t, x, ("subdominant",), m_terms)
                     xm = mp.mpf(x)
                     theta = mp.mpf(p.theta.numerator) / p.theta.denominator
                     scale = 2 * p.A0 * xm ** theta * mp.exp(-xm) * sum(

@@ -11,9 +11,8 @@ from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, CoeffShortfall, DomainError, NoMinimumDetected,
                          OrderUnsupported, PrecisionInsufficient, closed_form_eval, compound_eval,
-                         derive_params, dominant_series, exp_small_optimal,
-                         intermediate_series_n5, optimal_truncation_index, residual_F,
-                         series_eval, stirling_matching_coeffs, subdominant_series)
+                         derive_params, level_series, optimal_truncation_index, residual_F,
+                         series_eval, stirling_matching_coeffs)
 from hyperbessel import asym, coeffs
 from hyperbessel.precision import to_mpf
 
@@ -41,7 +40,7 @@ def test_dominant_leading_term_thirds(thirds):
     p, t = thirds
     with mp.workdps(60):
         for x in (2, 9):
-            got = dominant_series(t, x, 1).value
+            got = level_series(t, x, ("dominant",), 1).value
             want = 2 * p.A0 * mp.exp(mp.mpf(x) / 2) * mp.cos(mp.sqrt(3) * x / 2)
             assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
 
@@ -51,7 +50,7 @@ def test_dominant_leading_term_four_five_thirds():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(10)
-        got = dominant_series(t, x, 1).value
+        got = level_series(t, x, ("dominant",), 1).value
         want = (3 ** mp.mpf("1.5") / (2 * mp.pi * x ** 2)) * 2 * mp.exp(x / 2) \
             * mp.cos(mp.sqrt(3) / 2 * x - 2 * mp.pi / 3)
         assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
@@ -62,7 +61,7 @@ def test_dominant_leading_term_quarters():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(5)
-        got = dominant_series(t, x, 1).value
+        got = level_series(t, x, ("dominant",), 1).value
         want = 2 * p.A0 * mp.exp(x / mp.sqrt(2)) * mp.cos(x / mp.sqrt(2))
         assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
 
@@ -72,7 +71,7 @@ def test_subdominant_leading_term_thirds(thirds):
     p, t = thirds
     with mp.workdps(60):
         for x in (3, 8):
-            got = subdominant_series(t, x, 1).value
+            got = level_series(t, x, ("subdominant",), 1).value
             want = p.A0 * mp.exp(-mp.mpf(x))
             assert abs(got - want) <= abs(want) * mp.mpf("1e-55")
 
@@ -81,11 +80,11 @@ def test_subdominant_vanishes_at_half_integer_gap():
     # dyadic half-integer a-b makes the parity factor exactly zero
     p = derive_params(3, ("3/4", "1/4"))
     t = stirling_matching_coeffs(p, 10)
-    assert subdominant_series(t, 15, 8).value == 0
+    assert level_series(t, 15, ("subdominant",), 8).value == 0
     # non-dyadic representations still collapse to working precision
     p2 = derive_params(3, ("7/6", "2/3"), precision=50)
     t2 = stirling_matching_coeffs(p2, 10)
-    v = subdominant_series(t2, 15, 8).value
+    v = level_series(t2, 15, ("subdominant",), 8).value
     with mp.workdps(50):
         assert abs(v) <= mp.mpf("1e-40")
 
@@ -94,20 +93,20 @@ def test_subdominant_vanishes_on_a_rotated_cube_root_triple():
     # residues 1/12, 5/12, 3/4 step by 1/3: sum_r e^(2 pi i b_r) is exactly 0
     p = derive_params(4, ("1/12", "3/4", "29/12"))
     t = stirling_matching_coeffs(p, 30)
-    sub = subdominant_series(t, 12, 20)
+    sub = level_series(t, 12, ("subdominant",), 20)
     assert sub.value == 0 and sub.error_estimate == 0
     c = compound_eval(p, 12)
-    assert c.value == dominant_series(stirling_matching_coeffs(p, c.terms_used), 12,
-                                      c.terms_used).value
+    assert c.value == level_series(stirling_matching_coeffs(p, c.terms_used), 12, ("dominant",),
+                                   c.terms_used).value
 
 
 def test_intermediate_vanishes_on_two_antipodal_pairs():
     p = derive_params(5, ("1/4", "3/4", "1/3", "5/6"))
     t = stirling_matching_coeffs(p, 30)
     for M in (1, 20):
-        inter = intermediate_series_n5(t, 12, M)
+        inter = level_series(t, 12, ("intermediate",), M)
         assert inter.value == 0 and inter.error_estimate == 0
-    assert subdominant_series(t, 12, 20).value != 0
+    assert level_series(t, 12, ("subdominant",), 20).value != 0
 
 
 def _closed_form_weight(p, k, dps):
@@ -136,7 +135,7 @@ def test_start_weight_is_exactly_zero_where_it_vanishes_on_the_twelfths(n):
         for ks in itertools.combinations_with_replacement(range(1, 13), n - 1):
             for shift in (0, 1):
                 p = derive_params(n, tuple(F(k, 12) + shift * i for i, k in enumerate(ks)), 60)
-                for k in asym._ANGLES[n].values():
+                for k in asym.LEVELS[n].values():
                     vanishes = asym._start_weight(p, k, 60) == 0
                     assert vanishes == (abs(_closed_form_weight(p, k, 60)) < mp.mpf("1e-50")), \
                         (p.b_list, k)
@@ -151,7 +150,7 @@ def test_start_weight_is_exactly_zero_where_it_vanishes_on_the_twelfths(n):
 def test_n5_subdominant_is_exactly_zero_where_its_weight_cancels(bs):
     t = stirling_matching_coeffs(derive_params(5, bs), 30)
     for M in (1, 20):
-        sub = subdominant_series(t, 12, M)
+        sub = level_series(t, 12, ("subdominant",), M)
         assert sub.value == 0 and sub.error_estimate == 0
 
 
@@ -164,7 +163,7 @@ def test_parameter_order_is_ignored():
         for x in (8, 20):
             a, b = compound_eval(p, x), compound_eval(q, x)
             assert (a.value, a.error_estimate, a.terms_used) == (b.value, b.error_estimate, b.terms_used)
-        sub = subdominant_series(stirling_matching_coeffs(q, 30), 20, 20)
+        sub = level_series(stirling_matching_coeffs(q, 30), 20, ("subdominant",), 20)
         assert (sub.value == 0) == (bs == vanishing)
 
 
@@ -203,7 +202,7 @@ def test_start_weight_off_the_grid_is_never_zero_and_stays_cheap(monkeypatch):
     monkeypatch.setattr(asym, "_cyclotomic_zero", counted)
     for n, bs in _off_grid_sets(200, 5):
         p = derive_params(n, bs)
-        for k in asym._ANGLES[n].values():
+        for k in asym.LEVELS[n].values():
             terms = asym._weight_terms(p, k)
             small, N = 0, 2 * math.lcm(*(q.denominator for _, q in terms))
             for prime in (2, 3, 5):
@@ -225,7 +224,7 @@ def test_subdominant_n5_fifths():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(6)
-        got = subdominant_series(t, x, 1).value
+        got = level_series(t, x, ("subdominant",), 1).value
         want = p.A0 * mp.exp(-x)
         assert abs(got - want) <= abs(want) * mp.mpf("1e-50")
 
@@ -235,7 +234,7 @@ def test_intermediate_n5_fifths():
     t = stirling_matching_coeffs(p, 4)
     with mp.workdps(60):
         x = mp.mpf(6)
-        got = intermediate_series_n5(t, x, 1).value
+        got = level_series(t, x, ("intermediate",), 1).value
         want = 2 * p.A0 * mp.exp(x * mp.cospi(mp.mpf(3) / 5)) * mp.cos(x * mp.sinpi(mp.mpf(3) / 5))
         assert abs(got - want) <= abs(want) * mp.mpf("1e-50")
 
@@ -243,15 +242,15 @@ def test_intermediate_n5_fifths():
 def test_intermediate_requires_n5(thirds):
     _, t = thirds
     with pytest.raises(OrderUnsupported):
-        intermediate_series_n5(t, 5, 1)
+        level_series(t, 5, ("intermediate",), 1)
 
 
 def test_domain_and_shortfall(thirds):
     _, t = thirds
     with pytest.raises(DomainError):
-        dominant_series(t, 0, 1)
+        level_series(t, 0, ("dominant",), 1)
     with pytest.raises(CoeffShortfall):
-        dominant_series(t, 5, len(t) + 1)
+        level_series(t, 5, ("dominant",), len(t) + 1)
 
 
 def test_compound_rejects_non_positive_x_before_building_a_table():
@@ -273,7 +272,8 @@ def test_sign_alternation_consistency():
     with mp.workdps(60):
         x = mp.mpf(9)
         for m in (3, 6):
-            d = subdominant_series(t, x, m + 1).value - subdominant_series(t, x, m).value
+            d = (level_series(t, x, ("subdominant",), m + 1).value
+                 - level_series(t, x, ("subdominant",), m).value)
             pref = 2 * p.A0 * mp.cospi(mp.mpf(1)) * x ** mp.mpf("-0.5") * mp.exp(-x)
             want = pref * (-1) ** m * t[m] * x ** (-m)
             assert abs(d - want) <= (abs(want) + mp.mpf("1e-60")) * mp.mpf("1e-40")
@@ -296,8 +296,8 @@ def test_optimal_truncation_no_minimum():
 
 
 @pytest.mark.parametrize("n, bs, level", [
-    (4, ("-1/4", "1/2", "5/8"), subdominant_series),
-    (5, ("1/10", "1/5", "3/10", "11/10"), intermediate_series_n5),
+    (4, ("-1/4", "1/2", "5/8"), "subdominant"),
+    (5, ("1/10", "1/5", "3/10", "11/10"), "intermediate"),
 ])
 def test_error_estimate_bounds_next_term(n, bs, level):
     # the first omitted term carries the level's amplitude |sum_r e^(2 pi i b_r)|
@@ -305,8 +305,8 @@ def test_error_estimate_bounds_next_term(n, bs, level):
     t = stirling_matching_coeffs(p, 14)
     with mp.workdps(50):
         for m in range(1, 13):
-            s_m = level(t, 12, m)
-            added = abs(level(t, 12, m + 1).value - s_m.value)
+            s_m = level_series(t, 12, (level,), m)
+            added = abs(level_series(t, 12, (level,), m + 1).value - s_m.value)
             assert added <= s_m.error_estimate * (1 + mp.mpf("1e-40"))
 
 
@@ -375,7 +375,8 @@ def test_residual_matches_exp_small():
     p = derive_params(3, ("5/4", "1/4"), precision=60)
     t = stirling_matching_coeffs(p, 40)
     resid = residual_F(p, 15, 15)
-    es, j_sub = exp_small_optimal(t, 15, dps=70)
+    below = level_series(t, 15, ("subdominant",))
+    es, j_sub = below.value, below.terms_used - 1
     with mp.workdps(50):
         assert abs(resid - es) <= abs(es) * mp.mpf("0.02")
     assert j_sub > 15
@@ -396,7 +397,7 @@ def test_residual_match_improves_with_x():
     with mp.workdps(60):
         for x, j0 in ((10, 13), (15, 15), (20, 24)):
             resid = residual_F(p, x, j0)
-            es, _ = exp_small_optimal(t, x, dps=75)
+            es = level_series(t, x, ("subdominant",)).value
             rels.append(abs(resid - es) / abs(es))
     assert rels[0] > rels[1] > rels[2]
 
@@ -407,8 +408,8 @@ def test_n5_intermediate_in_residual():
     t = stirling_matching_coeffs(p, 100)
     j0 = optimal_truncation_index(t, 40)
     resid = residual_F(p, 40, j0)
-    sub = subdominant_series(t, 40, j0 + 1, dps=80).value
-    inter = intermediate_series_n5(t, 40, j0 + 1, dps=80).value
+    sub = level_series(t, 40, ("subdominant",), j0 + 1).value
+    inter = level_series(t, 40, ("intermediate",), j0 + 1).value
     with mp.workdps(60):
         # frozen regression value for the intermediate level at x=40
         assert abs(inter - mp.mpf("4.346149086e-8")) <= mp.mpf("1e-15")
@@ -418,17 +419,17 @@ def test_n5_intermediate_in_residual():
 @pytest.mark.parametrize("n, bs, x", [(5, (F(1, 5), F(2, 5), F(3, 5), F(9, 10)), 40)]
                          + [(n, bs, x) for n, bs in SWEEP_SETS for x in (8, F(23, 2), 14)])
 def test_exp_small_optimal_includes_intermediate(n, bs, x):
-    # one index: the least term of the table's own scan, at any precision
-    p = derive_params(n, bs, precision=60)
+    # every level below the dominant one, cut at one index: the least term of the table's scan
+    p = derive_params(n, bs, precision=80)
     t = stirling_matching_coeffs(p, 100)
-    es, j0 = exp_small_optimal(t, x, dps=80)
-    assert j0 == exp_small_optimal(t, x)[1] == optimal_truncation_index(t, x)
-    levels = [subdominant_series(t, x, j0 + 1, dps=80).value]
-    if n == 5:
-        levels.append(intermediate_series_n5(t, x, j0 + 1, dps=80).value)
+    below = [level for level in asym.LEVELS[n] if level != "dominant"]
+    es = level_series(t, x, below)
+    j0 = es.terms_used - 1
+    assert j0 == optimal_truncation_index(t, x)
+    levels = [level_series(t, x, (level,), j0 + 1).value for level in below]
     with mp.workdps(80):
-        assert levels[-1] != 0
-        assert abs(es - mp.fsum(levels)) <= max(abs(v) for v in levels) * mp.mpf("1e-70")
+        assert levels[0] != 0
+        assert abs(es.value - mp.fsum(levels)) <= max(abs(v) for v in levels) * mp.mpf("1e-70")
 
 
 def test_sine_product_split_identities():
@@ -480,15 +481,13 @@ def test_remainder_scaling_mini():
     with mp.workdps(80):
         for x in (20, 30, 40):
             s = series_eval(p, x, target_digits=25)
-            d = dominant_series(t, x, 5, dps=80)
+            d = level_series(t, x, ("dominant",), 5)
             xm = mp.mpf(x)
             theta = mp.mpf(p.theta.numerator) / p.theta.denominator
             ratios.append(abs(s.value - d.value) / (xm ** theta * mp.exp(xm / 2) * xm ** -5))
         assert max(ratios) <= 10 * min(ratios)
 
 
-LEVELS = {"dominant": dominant_series, "intermediate": intermediate_series_n5,
-          "subdominant": subdominant_series}
 PROPERTY_DPS = 40
 
 
@@ -539,7 +538,7 @@ def test_level_evaluator_matches_per_term_reference(case):
     n, bs, level, x, M = case
     p = derive_params(n, bs, precision=PROPERTY_DPS)
     t = stirling_matching_coeffs(p, M + 1)
-    got = LEVELS[level](t, x, M).value
+    got = level_series(t, x, (level,), M).value
     with mp.workdps(PROPERTY_DPS):
         xm = _q(x)
         want, scale = _reference_level(p, t, xm, M, level)
@@ -577,22 +576,53 @@ def test_level_sums_from_residue_classes_match_term_by_term(n, bs):
     """The residue-class level sums against a term-by-term sum 20 digits finer.
 
     Each level value must agree within its own rounding floor 10^(1-dps) |value|,
-    and ``compound_eval`` must equal the sum of the public level functions at
-    the same ``terms_used``.
+    and ``compound_eval`` must equal the sum of the single levels at the same
+    ``terms_used``.
     """
     p = derive_params(n, bs)
     t = stirling_matching_coeffs(p, max(ONE_PASS_M) + 1)
-    angles = asym._ANGLES[n]
+    angles = asym.LEVELS[n]
     floor = mp.mpf(10) ** (1 - p.dps)
     for x in ONE_PASS_X:
         for M in ONE_PASS_M:
             for level, k in angles.items():
-                got = LEVELS[level](t, x, M).value
+                got = level_series(t, x, (level,), M).value
                 want = _term_by_term(p, t, x, M, k, p.dps + 20)
                 with mp.workdps(p.dps + 20):
                     assert abs(got - want) <= floor * abs(got), (level, x, M)
         c = compound_eval(p, x)
         tc = stirling_matching_coeffs(p, c.terms_used + 1)
-        parts = [LEVELS[level](tc, x, c.terms_used).value for level in angles]
+        parts = [level_series(tc, x, (level,), c.terms_used).value for level in angles]
         with mp.workdps(p.dps + 20):
             assert abs(c.value - mp.fsum(parts)) <= floor * abs(c.value), x
+
+
+@pytest.mark.parametrize("n, bs", ONE_PASS_SETS)
+def test_compound_eval_is_level_series_over_every_level(n, bs, monkeypatch):
+    # the table compound_eval sums is the last one it asks the store for
+    built = []
+
+    def recorded(params, M):
+        built.append(stirling_matching_coeffs(params, M))
+        return built[-1]
+
+    monkeypatch.setattr(asym, "stirling_matching_coeffs", recorded)
+    p = derive_params(n, bs)
+    for x in ONE_PASS_X:
+        c = compound_eval(p, x)
+        ls = level_series(built[-1], x, asym.LEVELS[n], c.terms_used)
+        assert (c.method, ls.method) == ("compound", "asymptotic")
+        for field in ("value", "error_estimate", "max_term_magnitude"):
+            assert getattr(c, field)._mpf_ == getattr(ls, field)._mpf_, (x, field)
+        assert c.terms_used == ls.terms_used
+        assert [v._mpf_ for v in c.term_trace] == [v._mpf_ for v in ls.term_trace]
+
+
+def test_level_series_refuses_a_short_table_and_a_missing_level():
+    t = stirling_matching_coeffs(derive_params(3, ("2/3", "5/6")), 10)
+    with pytest.raises(NoMinimumDetected):
+        level_series(t, 50, ("dominant",))   # terms still decreasing at the table end
+    with pytest.raises(OrderUnsupported):
+        level_series(t, 5, ("dominant", "intermediate"))
+    with pytest.raises(ValueError):
+        level_series(t, 5, ())

@@ -33,6 +33,17 @@ def test_eval_humbert_range_csv(runner):
         assert all(abs(mp.mpf(r["value"])) < 1 for r in rows)
 
 
+def test_eval_exp_half_scales_the_estimate_with_the_value(runner):
+    args = ["eval", "--n3", "-a", "2/3", "-b", "5/6", "--x", "20", "--method", "compound",
+            "--format", "csv"]
+    plain, scaled = (rows_of(runner.invoke(main, args + extra).stdout)[0]
+                     for extra in ([], ["--scale", "exp-half"]))
+    # both rows print 11 significant digits of the estimate
+    with mp.workdps(30):
+        want = mp.mpf(plain["error_estimate"]) * mp.exp(-mp.mpf(20) / 2)
+        assert abs(mp.mpf(scaled["error_estimate"]) - want) <= abs(want) * mp.mpf("1e-10")
+
+
 def test_eval_both_methods_agree(runner):
     # exact thirds: the expansion terminates and both methods agree to target
     res = runner.invoke(main, ["eval", "--n3", "-a", "1/3", "-b", "2/3", "--x", "10",
@@ -232,7 +243,8 @@ def test_residual_auto_j0_is_the_least_term_of_its_table(runner, order, bs, x):
     assert res.exit_code == 0, res.output
     p = derive_params(order, bs, precision=max(DEFAULT_DPS, asym.residual_dps(order, x)))
     table = stirling_matching_coeffs(p, max(40, 2 * x + 16))
-    assert int(rows_of(res.stdout)[0]["j0"]) == asym.optimal_truncation_index(table, x)
+    below = [level for level in asym.LEVELS[order] if level != "dominant"]
+    assert int(rows_of(res.stdout)[0]["j0"]) == asym.level_series(table, x, below).terms_used - 1
 
 
 def test_tables_command(runner):
