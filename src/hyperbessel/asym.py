@@ -2,9 +2,10 @@
 
 One evaluator, ``level_series(table, x, levels, truncation)``, sums any of
 the levels named in ``LEVELS[n]`` from one coefficient table, at the table's
-precision.  ``compound_eval`` is ``level_series`` over every level on a
-table grown until it holds the truncation; ``residual_F`` subtracts the
-dominant level from the direct series.
+precision.  ``compound_eval`` is ``level_series`` over every level, or the
+ones named, on a table grown until it holds the truncation; ``residual_F``
+subtracts the dominant level, summed by ``level_series`` too, from the
+direct series.
 
 For x -> +infinity every exponential level of F_n is one formula,
 
@@ -16,7 +17,7 @@ weight w.  Each w is a sum of exact terms c e^(i pi q), c and q rational:
     n      level          k   w
     all    dominant       1   e^(i pi theta/n)
     4      subdominant    3   -sum_r e^(i pi (3 theta/n + 2 b_r))
-    5      intermediate   3   -sum_r e^(i pi (3 theta/5 + 2 b_r))
+    5      intermediate   3   e^(3 i pi theta/5)
     3, 5   subdominant    n   sum over the splits of the b's into two halves
                               of cos(pi d), d = sum(one half) - sum(other half)
 
@@ -61,9 +62,9 @@ from math import ceil, cos, lcm, log, pi
 from mpmath import mp
 
 from .coeffs import stirling_matching_coeffs
-from .errors import (CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported,
-                     PrecisionInsufficient)
-from .precision import auto_series_dps, to_mpf
+from .errors import CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported
+from .params import derive_params
+from .precision import to_mpf
 from .reference import METHOD_ASYMPTOTIC, METHOD_COMPOUND, EvalResult, series_eval
 
 __all__ = ["LEVELS", "OPTIMAL", "compound_eval", "level_series", "optimal_truncation_index",
@@ -89,8 +90,8 @@ GUARD_DPS = 10
 def _weight_terms(params, k):
     """The start weight w of the level at angle k as exact pairs (c, q), w = sum c e^(i pi q)."""
     n, bs, theta = params.n, params.b_list, params.theta
-    if k == 1:
-        return ((Fraction(1), theta / n),)
+    if k == 1 or (n, k) == (5, 3):
+        return ((Fraction(1), k * theta / n),)
     if k < n:
         return tuple((Fraction(-1), 3 * theta / n + 2 * b) for b in bs)
     half, terms = Fraction(1, 2), []
@@ -200,15 +201,16 @@ def _least_term(mags, allow_boundary=False):
     return best
 
 
-def _levels(params, u, xm, M, working, angles):
+def _levels(params, u, xm, M, angles):
     """The levels at ``angles``, each summed over u_0..u_{M-1}.
 
     Returns one (value, |prefactor w|) pair per level, ``GUARD_DPS`` digits
-    past ``working``.  Only the start weight w is taken at ``working``
+    past ``params.dps``.  Only the start weight w is taken at ``params.dps``
     digits, so where it vanishes up to rounding, its residue is that of a
-    ``working``-digit evaluation.
+    ``params.dps``-digit evaluation.
     """
-    n, guarded = params.n, working + GUARD_DPS
+    n, working = params.n, params.dps
+    guarded = working + GUARD_DPS
     with mp.workdps(guarded):
         sums = [mp.fsum(u[r:M:2 * n]) for r in range(2 * n)]
         base = 2 * params.A0 * xm ** to_mpf(params.theta, guarded)
@@ -259,7 +261,7 @@ def level_series(table, x, levels, truncation=OPTIMAL):
     u, mags = _scan(table, xm, working)
     if truncation == OPTIMAL:
         M = _least_term(mags) + 1
-    parts = _levels(params, u, xm, M, working, angles)
+    parts = _levels(params, u, xm, M, angles)
     trace = tuple(mags[:M])
     omitted = mags[M] if M < len(mags) else trace[-1]
     with mp.workdps(working):
@@ -285,8 +287,9 @@ def optimal_truncation_index(coeffs, x, allow_boundary=False):
     return _least_term(_scan(coeffs, _positive_x(x, working), working)[1], allow_boundary)
 
 
-def compound_eval(params, x, truncation=OPTIMAL):
-    """``level_series`` over every level of the order, on a table long enough for ``truncation``.
+def compound_eval(params, x, truncation=OPTIMAL, levels=None):
+    """``level_series`` over ``levels`` (default: every level of the order), on a
+    table long enough for ``truncation``.
 
     For ``"optimal"`` the table starts at max(32, 2x + 16) coefficients and
     grows 1.5-fold, at most twice, while its least term is its last; a term
@@ -295,21 +298,17 @@ def compound_eval(params, x, truncation=OPTIMAL):
     before any coefficient table is built.
     """
     xm = _positive_x(x, params.dps)
+    levels = LEVELS[params.n] if levels is None else levels
     m = max(32, ceil(2.0 * float(xm)) + 16) if truncation == OPTIMAL else max(int(truncation) + 1, 2)
     for _ in range(3):
         try:
-            result = level_series(stirling_matching_coeffs(params, m), xm, LEVELS[params.n], truncation)
+            result = level_series(stirling_matching_coeffs(params, m), xm, levels, truncation)
             return replace(result, method=METHOD_COMPOUND)
         except NoMinimumDetected:
             logger.debug("compound table: no least term within %d coefficients at x = %s, "
                          "growing to %d", m, xm, ceil(m * 1.5))
             m = ceil(m * 1.5)
     raise NoMinimumDetected(f"no confirmed least term within {m} coefficients")
-
-
-def _residual_target_digits(x):
-    # resolve the e^(-x) level under e^(x cos(pi/n)) with several digits spare
-    return ceil(0.8 * float(to_mpf(x, 30))) + 12
 
 
 def residual_dps(n, x):
@@ -325,26 +324,18 @@ def residual_F(params, x, j0):
     """F_n(x) minus the dominant expansion summed through index j0 (inclusive).
 
     This is the numerically extracted exponentially small residual; compare
-    it with the levels below the dominant one, ``level_series`` over
-    ``LEVELS[n]`` without ``"dominant"``.  The dominant sum is taken at the
-    direct series' working precision from coefficients at ``params.dps``
-    digits, so PrecisionInsufficient is raised when ``params.dps`` is below
-    ``residual_dps(params.n, x)``.
+    it with the levels below the dominant one, ``compound_eval`` with every
+    level of ``LEVELS[n]`` but ``"dominant"``.  Both sides are taken to
+    d = ``residual_dps(params.n, x)`` digits or more: the direct series to a
+    d-digit target, and the dominant level by ``level_series`` at
+    ``params.dps``, where parameters coarser than d are first re-derived at d.
     """
     if j0 < 0:
         raise ValueError("truncation index must be non-negative")
     needed = residual_dps(params.n, x)
     if params.dps < needed:
-        raise PrecisionInsufficient(
-            f"residual at x = {float(to_mpf(x, 30)):.6g} needs parameters at {needed} digits "
-            f"or more to resolve the e^(-x) level, got {params.dps}")
-    target = _residual_target_digits(x)
-    working = auto_series_dps(target)
-    xm = _positive_x(x, working)
-    base = series_eval(params, x, target_digits=target, dps=working)
-    u = stirling_matching_coeffs(params, j0 + 2).scaled_terms(xm, working + GUARD_DPS)
-    [(dominant, _)] = _levels(params, u, xm, j0 + 1, working, (LEVELS[params.n]["dominant"],))
-    with mp.workdps(working):
-        # both sides rounded to ``working`` digits: the guard digits of the
-        # dominant sum are no more accurate than the series value they meet
-        return base.value - (+dominant)
+        params = derive_params(params.n, params.b_list, precision=needed)
+    base = series_eval(params, x, target_digits=needed)
+    dominant = level_series(stirling_matching_coeffs(params, j0 + 2), x, ("dominant",), j0 + 1)
+    with mp.workdps(params.dps):
+        return base.value - dominant.value

@@ -19,7 +19,7 @@ from . import asym, coeffs as coeffs_mod, verify
 from .errors import HyperBesselError
 from .params import derive_params
 from .precision import DEFAULT_DPS, MIN_DPS, to_mpf
-from .reference import humbert_J, series_eval
+from .reference import humbert_J, humbert_rescale, series_eval
 
 ENV_DPS = "HYPERBESSEL_DPS"
 
@@ -207,10 +207,8 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
         m_f = _parse_fraction(m_order, "-m")
         nu_f = _parse_fraction(nu_order, "-n")
         params = derive_params(3, (m_f + 1, nu_f + 1), precision=precision or DEFAULT_DPS)
-        power = m_f + nu_f
     else:
         params = _build_params(mode, a, b, precision)
-        power = None
 
     methods = ["series", "compound"] if method == "both" else [method]
     out_dps = precision or DEFAULT_DPS
@@ -224,11 +222,8 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
                     res = series_eval(params, xv, target_digits=target, dps=precision)
             else:
                 res = asym.compound_eval(params, xv, truncation=trunc)
-                if humbert and power != 0:
-                    with mp.workdps(out_dps):
-                        factor = (to_mpf(xv, out_dps) / 3) ** to_mpf(power, out_dps)
-                        res = replace(res, value=res.value * factor,
-                                      error_estimate=res.error_estimate * abs(factor))
+                if humbert:
+                    res = humbert_rescale(res, m_f, nu_f, xv, out_dps)
             if scale == "exp-half":
                 with mp.workdps(out_dps):
                     half = mp.exp(-to_mpf(xv, out_dps) / 2)
@@ -292,19 +287,18 @@ def cmd_coeffs(n3, n4, n5, a, b, m_count, method, precision, fmt, output):
 def cmd_residual(n3, n4, n5, a, b, x, j0, precision, fmt, output):
     """Compare the numerically extracted residual with the exponentially small expansion.
 
-    Without --precision (or the environment override) the parameters are
-    built at the precision the residual needs at this x.
+    The parameters are built at the precision the residual needs at this x,
+    or at --precision (or the environment override) where that is higher.
     """
     precision = _default_dps(precision)
     mode = _resolve_order(n3, n4, n5, False)
     xv = _parse_fraction(x, "--x")
     if xv <= 0:
         raise click.UsageError("residual analysis needs x > 0")
-    if precision is None:
-        precision = max(DEFAULT_DPS, asym.residual_dps(_ORDERS[mode], xv))
-    params = _build_params(mode, a, b, precision)
-    table = coeffs_mod.stirling_matching_coeffs(params, max(40, int(2 * xv) + 16))
-    below = asym.level_series(table, xv, [lvl for lvl in asym.LEVELS[params.n] if lvl != "dominant"])
+    params = _build_params(mode, a, b, max(precision or DEFAULT_DPS,
+                                           asym.residual_dps(_ORDERS[mode], xv)))
+    below = asym.compound_eval(params, xv, levels=[level for level in asym.LEVELS[params.n]
+                                                   if level != "dominant"])
     es = below.value
     j0_val = below.terms_used - 1 if j0 == "auto" else j0
     resid = asym.residual_F(params, xv, j0_val)

@@ -20,7 +20,7 @@ hyper-Bessel function is the rescaled n = 3 case
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import libmp, mp
@@ -292,14 +292,21 @@ def humbert_J(m, nu, x, target_digits=20, dps=None):
         with mp.workdps(working):
             return EvalResult(value=mp.mpf(0), method=METHOD_SERIES, terms_used=1,
                               max_term_magnitude=mp.mpf(0), error_estimate=mp.mpf(0))
-    base = series_eval(params, x, target_digits=target_digits, dps=working)
-    with mp.workdps(working):
-        scale = 1 if power == 0 else (to_mpf(x, working) / 3) ** to_mpf(power, working)
-        return EvalResult(value=scale * base.value, method=base.method,
-                          terms_used=base.terms_used,
-                          max_term_magnitude=abs(scale) * base.max_term_magnitude,
-                          error_estimate=abs(scale) * base.error_estimate,
-                          term_trace=base.term_trace)
+    return humbert_rescale(series_eval(params, x, target_digits=target_digits, dps=working),
+                           m, nu, x, working)
+
+
+def humbert_rescale(result, m, nu, x, dps):
+    """``result``, an evaluation of F_3(x; m+1, nu+1), as J_{m,nu}(x): value, peak
+    term and error estimate times (x/3)^(m+nu), rounded to ``dps`` digits."""
+    power = to_fraction(m) + to_fraction(nu)
+    if power == 0:
+        return result
+    with mp.workdps(dps):
+        factor = (to_mpf(x, dps) / 3) ** to_mpf(power, dps)
+        return replace(result, value=result.value * factor,
+                       max_term_magnitude=abs(factor) * result.max_term_magnitude,
+                       error_estimate=abs(factor) * result.error_estimate)
 
 
 def humbert_identity_check(x, lam, N, target_digits=20, dps=None):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
-from hyperbessel import asym, derive_params, stirling_matching_coeffs
+from hyperbessel import asym, derive_params
 from hyperbessel.cli import main
 from hyperbessel.precision import DEFAULT_DPS
 
@@ -225,26 +225,24 @@ def test_residual_works_out_its_precision_at_large_x(runner):
     assert res.exit_code == 0, res.output
     with mp.workdps(40):
         assert mp.mpf(rows_of(res.stdout)[0]["rel_difference"]) < mp.mpf("1e-7")
-    # an explicit precision is kept, and refused
-    for res in (runner.invoke(main, args + ["--precision", "50"]),
+    # an explicit precision below the 56 digits the residual needs is raised to them
+    for low in (runner.invoke(main, args + ["--precision", "50"]),
                 runner.invoke(main, args, env={"HYPERBESSEL_DPS": "50"})):
-        assert res.exit_code == 1
-        assert "PrecisionInsufficient" in res.output and "56 digits" in res.output
+        assert low.exit_code == 0, low.output
+        assert low.stdout == res.stdout
 
 
 @pytest.mark.parametrize("order, bs, x", [(3, ("4/3", "1/4"), 10),
                                           (5, ("1/5", "2/5", "3/5", "9/10"), 20)])
 def test_residual_auto_j0_is_the_least_term_of_its_table(runner, order, bs, x):
-    # the table the command builds: parameters at the residual's precision,
-    # max(40, 2x + 16) coefficients
+    # the levels below the dominant one, by compound_eval at the residual's precision
     args = ["residual", f"--n{order}", "--x", str(x), "--format", "csv"]
     args += ["-a", bs[0], "-b", bs[1]] if order == 3 else ["-b", ",".join(bs)]
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     p = derive_params(order, bs, precision=max(DEFAULT_DPS, asym.residual_dps(order, x)))
-    table = stirling_matching_coeffs(p, max(40, 2 * x + 16))
     below = [level for level in asym.LEVELS[order] if level != "dominant"]
-    assert int(rows_of(res.stdout)[0]["j0"]) == asym.level_series(table, x, below).terms_used - 1
+    assert int(rows_of(res.stdout)[0]["j0"]) == asym.compound_eval(p, x, levels=below).terms_used - 1
 
 
 def test_tables_command(runner):
