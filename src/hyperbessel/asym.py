@@ -167,6 +167,8 @@ def _start_weight(params, k, working):
     if _vanishes(terms):
         return mp.zero
     with mp.workdps(working):
+        if k == params.n:   # conjugate pairs (1/2, d), (1/2, -d): one cos(pi d) per pair
+            return mp.mpc(mp.fsum(mp.cospi(to_mpf(q, working)) for _, q in terms[::2]))
         return mp.fdot((to_mpf(c, working), mp.expjpi(to_mpf(q, working))) for c, q in terms)
 
 

@@ -174,13 +174,14 @@ def _stirling_build(params, M, work):
     series = _log_ratio_series(params, L, work)
     r = series.exp()
     # q_rows[j] = 1/(n s + theta')_j with theta' + (j - 1) rounded at ``work``
-    # digits; the j = 0 row, the series 1, is never read
+    # digits; the j = 0 row, the series 1, is never read.  Row j - 1 starts at
+    # order j - 1, so its product reads step row j only through L - j + 1
     q_rows = [None]
     with mp.workdps(work):
         prec = mp.prec
-        theta_prime = to_mpf(params.theta_prime, work)
+        theta_prime, scale = to_mpf(params.theta_prime, work), mp.mpf(n)
         for j in range(1, M):
-            step = reciprocal_linear(theta_prime + (j - 1), n, L, work)
+            step = reciprocal_linear(theta_prime + (j - 1), scale, L - j + 1, work)
             q_rows.append(step if j == 1 else q_rows[-1] * step)
     # c_m = (r_m - sum_{0<j<m} c_j q_j[m]) / q_m[m], each rounded once
     c = [fone]
@@ -199,7 +200,8 @@ def stirling_matching_coeffs(params, M):
     """Coefficients c_0..c_{M-1} by gamma-asymptotics matching (any valid params).
 
     The log-ratio, exp and reciprocal-Pochhammer series are built through
-    order M - 1, the last order the triangular solve reads, at
+    order M - 1, the last order the triangular solve reads (step row j of
+    the Pochhammer products through M - j, the last its product reads), at
     ``params.dps + 10 + M // 2`` working digits (the solve multiplies by n^m
     at order m and its sums cancel mildly), and each c_j is rounded once to
     ``params.dps``.  The table is kept per parameter set (see ``_TableStore``),

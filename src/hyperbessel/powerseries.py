@@ -4,17 +4,19 @@
 
     r0 + r1/s + r2/s^2 + ... + rL/s^L.
 
-All operations truncate at the common length L and are exact through order
-s^(-L) for exact inputs.  Products and ``exp`` form each output coefficient
-as an exact sum of exact products, rounded once to ``dps`` decimal digits
-(``_dot``).  This is the workhorse behind the gamma-ratio coefficient
-engine.
+Each output coefficient is an exact sum of exact products, rounded once to
+``dps`` decimal digits: a product sums integer mantissas aligned once per
+operand, skipping both operands' leading zeros; ``exp`` and the coefficient
+engine's triangular solve use ``_dot``.  This is the workhorse behind the
+gamma-ratio coefficient engine.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
-from mpmath import mp
-from mpmath.libmp import dps_to_prec, fone, from_int, from_man_exp, fzero, mpf_div, round_nearest
+from mpmath import mp, mpf
+from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, fzero, mpf_div, mpf_mul,
+                          mpf_neg, mpf_pos, round_nearest)
 
 from .precision import check_dps, to_mpf
 
@@ -56,6 +58,16 @@ def _raw(values):
     return [v._mpf_ for v in values]
 
 
+def _aligned(values):
+    """(ms, e, v): values[i] = ms[i] 2^e exactly, and v leading values are 0."""
+    raw = _raw(values)
+    if any(e and not m for _, m, e, _ in raw):
+        raise ValueError("series coefficients must be finite")
+    low = min((e for _, m, e, _ in raw if m), default=0)
+    ms = [((-m if s else m) << (e - low)) if m else 0 for s, m, e, _ in raw]
+    return ms, low, next((i for i, m in enumerate(ms) if m), len(ms))
+
+
 @dataclass(frozen=True)
 class PowerSeries1OverS:
     coeffs: tuple
@@ -78,23 +90,29 @@ class PowerSeries1OverS:
     def __getitem__(self, k):
         return self.coeffs[k]
 
-    def _binary_dps(self, other):
-        return max(self.dps, other.dps)
-
-    def _check_compatible(self, other):
-        if self.length != other.length:
-            raise ValueError(f"series lengths differ: {self.length} vs {other.length}")
-
     def __mul__(self, other):
-        self._check_compatible(other)
-        dps = self._binary_dps(other)
+        """The product through the longer operand's order L, at the larger dps.
+
+        Order k is the exact sum of a_i b_(k-i) over the i at or past a's
+        valuation (its count of leading zeros) with k - i at or past b's,
+        rounded once.  The product is known through L only where each
+        operand's length plus the other's valuation reaches L; otherwise
+        ValueError.
+        """
+        dps = max(self.dps, other.dps)
         prec = dps_to_prec(dps)
-        L = self.length
-        a = _raw(self.coeffs)
-        b = _raw(reversed(other.coeffs))
-        # out[k] = sum_i a[i] b[k-i]; b[k-i] sits at L-k+i in the reversed list
-        return PowerSeries1OverS._from_raw([_dot(a[:k + 1], b[L - k:], prec)
-                                            for k in range(L + 1)], dps)
+        (a, ea, va), (b, eb, vb) = _aligned(self.coeffs), _aligned(other.coeffs)
+        la, lb = len(a) - 1, len(b) - 1
+        L = max(la, lb)
+        if min(la + vb, lb + va) < L:
+            raise ValueError(f"lengths {la}, {lb} with valuations {va}, {vb} do not determine a product")
+        rb = b[::-1]    # b[k-i] sits at lb-k+i
+        out = [fzero] * min(va + vb, L + 1)
+        for k in range(va + vb, L + 1):
+            lo = max(va, k - lb)
+            total = sum(map(mul, a[lo:min(la, k - vb) + 1], rb[lb - k + lo:]))
+            out.append(from_man_exp(total, ea + eb, prec, round_nearest))
+        return PowerSeries1OverS._from_raw(out, dps)
 
     __rmul__ = __mul__
 
@@ -115,13 +133,13 @@ class PowerSeries1OverS:
 
 
 def reciprocal_linear(c, scale, length, dps):
-    """Series of 1/(scale*s + c) = (1/(scale*s)) * sum_m (-c/scale)^m s^(-m)."""
-    with mp.workdps(dps):
-        cs = to_mpf(c, dps) / to_mpf(scale, dps)
-        out = [mp.mpf(0)] * (length + 1)
-        inv = 1 / to_mpf(scale, dps)
-        term = inv
-        for m in range(1, length + 1):
-            out[m] = term
-            term = term * (-cs)
-        return PowerSeries1OverS(tuple(out), dps)
+    """Series of 1/(scale*s + c) = (1/(scale*s)) * sum_m (-c/scale)^m s^(-m) through order ``length``,
+    stepped on raw mpf tuples rounded to nearest at ``dps`` digits, as mpf arithmetic rounds them."""
+    prec = dps_to_prec(dps)
+    c, scale = (mpf_pos(v._mpf_, prec, round_nearest) if isinstance(v, mpf) else to_mpf(v, dps)._mpf_
+                for v in (c, scale))
+    ratio = mpf_neg(mpf_div(c, scale, prec, round_nearest))
+    out = [fzero, mpf_div(fone, scale, prec, round_nearest)]
+    for _ in range(1, length):
+        out.append(mpf_mul(out[-1], ratio, prec, round_nearest))
+    return PowerSeries1OverS._from_raw(out[:length + 1], dps)

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 from fractions import Fraction
@@ -151,6 +152,22 @@ def test_stirling_coefficients_within_one_ulp(n, bs):
         for u, v in zip(got, fine):
             ref = +v
             assert abs(u - ref) <= mp.ldexp(1, mp.mag(ref) - mp.prec)
+
+
+@pytest.mark.parametrize("n, bs, dps, M, digest", [
+    (3, ("1/6", "3/4"), 50, 48, "e243cce1fa6456f3f64c34449b74f3999c78c178a42fb0cd5f2fb68f504775ee"),
+    (4, ("1/3", "2/3", "7/6"), 50, 48, "cc196adf9e6a3c2938a6814c8f40cf4a679c44284df8e2444825dc08288ae074"),
+    (5, ("-1/3", "1/4", "3/4", "3/2"), 50, 48,
+     "bff0014c4d47836deb88d3eaa24144711735eb15ae881990244d2d92c5edbf39"),
+    (4, ("-1/4", "1/2", "5/8"), 60, 40, "c005ef7ba2f634c4769db251ead458b70c24e9ab1063e19071816359adb83ce3"),
+])
+def test_stirling_coefficients_keep_their_bits(monkeypatch, n, bs, dps, M, digest):
+    # SHA-256 of the raw (sign, man, exp) of every c_j from a fresh build: a
+    # faster kernel must give the same bits; a new algorithm (such as an exact
+    # recurrence) changes these digests on purpose
+    monkeypatch.setattr(coeffs, "_TABLES", coeffs._TableStore(1))
+    c = stirling_matching_coeffs(derive_params(n, bs, precision=dps), M).c
+    assert hashlib.sha256(repr(tuple(v._mpf_[:3] for v in c)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, bs", [(3, ("7/12", "5/4")), (4, ("1/6", "5/12", "3/2")),

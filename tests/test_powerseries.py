@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import fnan, fone, from_man_exp, from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, fnan, fone, from_man_exp, from_rational, fzero, round_nearest
 
 from hyperbessel import PowerSeries1OverS
 from hyperbessel.powerseries import _dot, reciprocal_linear
-from hyperbessel.precision import to_fraction
+from hyperbessel.precision import to_fraction, to_mpf
 
 
 def frac_series(fracs, dps=50):
@@ -35,6 +35,38 @@ def test_mul_matches_exact_rational_product():
 
 
 finite_mpf = st.builds(from_man_exp, st.integers(-2 ** 200, 2 ** 200), st.integers(-300, 300))
+
+#: raw coefficients of a series of 1..40 terms, after 0..39 leading zeros
+raw_series = st.builds(lambda zeros, values: ([fzero] * zeros + values)[:40],
+                       st.integers(0, 39), st.lists(finite_mpf, min_size=1, max_size=40))
+
+
+def _valuation(values):
+    return next((i for i, v in enumerate(values) if v), len(values))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=raw_series, b=raw_series, same_length=st.booleans(),
+       dps_a=st.integers(30, 120), dps_b=st.integers(30, 120))
+def test_mul_is_the_exact_convolution_rounded_once(a, b, same_length, dps_a, dps_b):
+    # 30..120 digits are 103..402 bits; a product is known through the longer
+    # length only where each length plus the other's valuation reaches it
+    if same_length:
+        b = (b + [fzero] * len(a))[:len(a)]
+    fs, gs = PowerSeries1OverS._from_raw(a, dps_a), PowerSeries1OverS._from_raw(b, dps_b)
+    f, g = ([to_fraction(v) for v in s.coeffs] for s in (fs, gs))
+    la, lb = len(f) - 1, len(g) - 1
+    L = max(la, lb)
+    if min(la + _valuation(g), lb + _valuation(f)) < L:
+        with pytest.raises(ValueError):
+            fs * gs
+        return
+    prod = fs * gs
+    prec = dps_to_prec(max(dps_a, dps_b))
+    assert prod.length == L and prod.dps == max(dps_a, dps_b)
+    for k in range(L + 1):
+        exact = sum((f[i] * g[k - i] for i in range(max(0, k - lb), min(la, k) + 1)), Fraction(0))
+        assert prod[k]._mpf_ == rounded_once(exact, prec), k
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -109,6 +141,33 @@ def test_reciprocal_linear_inverts():
         for k in range(1, L):
             resid = scale * s[k + 1] + cm * s[k]
             assert abs(resid) <= mp.mpf("1e-45")
+
+
+def _reciprocal_linear_by_mpf(c, scale, length, dps):
+    """The term-by-term mpf loop at ``dps`` digits that ``reciprocal_linear`` must equal bit for bit."""
+    with mp.workdps(dps):
+        cs = to_mpf(c, dps) / to_mpf(scale, dps)
+        out = [mp.mpf(0)] * (length + 1)
+        term = 1 / to_mpf(scale, dps)
+        for m in range(1, length + 1):
+            out[m] = term
+            term = term * (-cs)
+        return out
+
+
+def test_reciprocal_linear_is_the_mpf_loop_bit_for_bit():
+    with mp.workdps(120):
+        finer = mp.mpf(1) / 3 + 7          # more bits than any dps below keeps
+    with mp.workdps(30):
+        coarser = -mp.mpf(5) / 7
+    for c in (Fraction(7, 2), Fraction(-5, 3), finer, coarser, mp.mpf(0)):
+        for scale in (3, 4, mp.mpf(5), Fraction(7, 3)):
+            for dps in (30, 50, 97):
+                for length in range(41):
+                    got = reciprocal_linear(c, scale, length, dps)
+                    want = _reciprocal_linear_by_mpf(c, scale, length, dps)
+                    assert got.dps == dps
+                    assert [v._mpf_ for v in got.coeffs] == [v._mpf_ for v in want], (c, scale, dps, length)
 
 
 def test_precision_propagates_upward():
