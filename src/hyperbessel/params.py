@@ -8,11 +8,12 @@ constants are
     A0     = n^(-1/2 - theta) / (2 pi)^((n-1)/2)
 
 For n = 3 with b_list = (a, b) this reduces to theta = 1 - a - b and
-A0 = 3^(-1/2 - theta) / (2 pi).
+A0 = 3^(-1/2 - theta) / (2 pi).  A0 is computed on first use.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import mp
 
@@ -26,8 +27,8 @@ SUPPORTED_ORDERS = (3, 4, 5)
 class ExpansionParams:
     """Validated parameter set with all derived constants.
 
-    The rational fields are exact; ``A0`` is rounded to ``dps`` digits.
-    Instances are immutable and hashable (usable as cache keys).
+    The rational fields are exact; ``A0`` is rounded to ``dps`` digits on first use.
+    Instances are immutable and hashable by their fields (usable as cache keys).
     """
 
     n: int
@@ -35,7 +36,14 @@ class ExpansionParams:
     dps: int
     theta: Fraction
     theta_prime: Fraction
-    A0: object             # mpf at dps digits
+
+    @cached_property
+    def A0(self):
+        with mp.workdps(self.dps + 10):
+            a0 = (mp.mpf(self.n) ** (to_mpf(Fraction(-1, 2) - self.theta, self.dps + 10))
+                  / (2 * mp.pi) ** (mp.mpf(self.n - 1) / 2))
+        with mp.workdps(self.dps):
+            return +a0
 
     def describe(self):
         bs = ", ".join(str(b) for b in self.b_list)
@@ -59,10 +67,4 @@ def derive_params(n, b_list, precision=DEFAULT_DPS):
         if b.denominator == 1 and b <= 0:
             raise PoleParameter(f"parameter {b} is a non-positive integer (gamma pole)")
     theta = Fraction(n - 1, 2) - sum(bs, Fraction(0))
-    theta_prime = 1 - theta
-    with mp.workdps(dps + 10):
-        a0 = mp.mpf(n) ** (to_mpf(Fraction(-1, 2) - theta, dps + 10)) / (2 * mp.pi) ** (mp.mpf(n - 1) / 2)
-    with mp.workdps(dps):
-        a0 = +a0
-    return ExpansionParams(n=int(n), b_list=bs, dps=dps, theta=theta,
-                           theta_prime=theta_prime, A0=a0)
+    return ExpansionParams(n=int(n), b_list=bs, dps=dps, theta=theta, theta_prime=1 - theta)

@@ -20,8 +20,10 @@ hyper-Bessel function is the rescaled n = 3 case
 import enum
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import libmp, mp
 
@@ -42,6 +44,8 @@ TAIL_GUARD_DIGITS = 10
 #: extensions of the term count before a partial sum that stays below its
 #: tail is taken for a zero of F
 MAX_EXTENSIONS = 8
+#: terms that ``_TermRatio.split`` sums in one loop instead of splitting further
+LEAF_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,8 @@ class EvalResult:
     """One evaluation: value plus convergence/cancellation diagnostics.
 
     ``error_estimate`` is absolute.  ``max_term_magnitude`` exposes how much
-    the terms cancel: digits lost ~ log10(max_term / |value|).
+    the terms cancel: digits lost ~ log10(max_term / |value|).  A series
+    result's ``term_trace`` is built the first time it is read, then kept.
     """
 
     value: object
@@ -64,6 +69,32 @@ class EvalResult:
         if self.value == 0 or self.max_term_magnitude == 0:
             return mp.mpf(0)
         return mp.log10(abs(self.max_term_magnitude) / abs(self.value))
+
+
+class _LazyTrace(Sequence):
+    """The tuple ``build()`` returns, with ``length`` items: built on first read, then kept."""
+
+    def __init__(self, length, build):
+        self._length, self._build = length, build
+
+    @cached_property
+    def _items(self):
+        return self._build()
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __eq__(self, other):
+        return self._items == other
+
+    def __hash__(self):
+        return hash(self._items)
+
+    def __reduce__(self):
+        return tuple, (self._items,)
 
 
 def _exact_argument(x, working):
@@ -89,35 +120,38 @@ class _TermRatio:
         # |B(k)| increases once every k + b_j is positive, so the ratios fall
         self._k_mono = max(0, max(math.ceil(-b) for b in b_list))
         self.logs = [0.0]
-        self.den = [self._den_at(0)]
-
-    def _den_at(self, k):
-        out = self._qn * (k + 1)
-        for v, u in self._vu:
-            out *= v * k + u
-        return out
+        self.den = [self._qn * math.prod(u for _, u in self._vu)]
 
     def scan(self, goal):
         """Scan on to the first N >= 1 at which the tail from r_N is at most
         2|r_N| (r_N lies past every sign change of k + b_j and the ratio
         after it is at most 1/2) and ln|r_N| <= goal; return N."""
-        log_a = math.log(abs(self.a))
-        logs, den = self.logs, self.den
+        log, log_a, two_a = math.log, math.log(abs(self.a)), 2 * abs(self.a)
+        logs, den, qn, vu, k_mono = self.logs, self.den, self._qn, self._vu, self._k_mono
+        k, last, d = len(logs), logs[-1], den[-1]
         while True:
-            k = len(logs)
-            logs.append(logs[-1] + log_a - math.log(abs(den[-1])))
-            den.append(self._den_at(k))
-            if k >= self._k_mono and 2 * abs(self.a) <= abs(den[k]) and logs[k] <= goal:
+            last = last + log_a - log(abs(d))
+            logs.append(last)
+            d = qn * (k + 1)
+            for v, u in vu:
+                d *= v * k + u
+            den.append(d)
+            if k >= k_mono and two_a <= abs(d) and last <= goal:
                 return k
+            k += 1
 
     def split(self, lo, hi):
-        """Binary splitting of the terms lo..hi-1.
+        """Binary splitting of the terms lo..hi-1, down to leaves of at most
+        ``LEAF_TERMS`` terms that one loop sums.
 
         Returns integers (P, Q, T) with P = a^(hi-lo), Q = B(lo)...B(hi-1)
         and T/Q = sum_{k=lo}^{hi-1} r_k / r_lo, so P/Q = r_hi / r_lo.
         """
-        if hi - lo == 1:
-            return self.a, self.den[lo], self.den[lo]
+        if hi - lo <= LEAF_TERMS:
+            a, p, q, t = self.a, 1, 1, 0
+            for d in self.den[lo:hi]:
+                p, q, t = p * a, q * d, (t + p) * d
+            return p, q, t
         mid = (lo + hi) // 2
         p1, q1, t1 = self.split(lo, mid)
         p2, q2, t2 = self.split(mid, hi)
@@ -184,8 +218,9 @@ def series_eval(params, x, target_digits=20, dps=None):
     Only T/Q and the gamma product are rounded, at the working precision
     (``auto_series_dps`` unless ``dps`` is given), so ``error_estimate`` is
     the tail bound 2|t_N| plus 10^(1-dps) |value|.  ``term_trace`` holds
-    |t_k| for the summed terms to float accuracy.  Raises
-    PrecisionInsufficient when that rounding cannot certify the target.
+    |t_k| for the summed terms to float accuracy, built on first read from
+    the float logs.  Raises PrecisionInsufficient when that rounding cannot
+    certify the target.
     """
     working = check_dps(dps) if dps is not None else auto_series_dps(target_digits)
     xq = _exact_argument(x, working)
@@ -212,11 +247,11 @@ def series_eval(params, x, target_digits=20, dps=None):
                 f"{mp.nstr(error, 3)} against value {mp.nstr(value, 3)}; "
                 f"use at least {target_digits + 2} dps")
         log_gamma = sum(math.lgamma(b) for b in b_list)
-        trace = tuple(_exp_mpf(log_r - log_gamma) for log_r in ratio.logs[:terms])
-        peak = max(range(terms), key=ratio.logs.__getitem__)
+        logs = ratio.logs[:terms]
+        trace = _LazyTrace(terms, lambda: tuple(_exp_mpf(log_r - log_gamma) for log_r in logs))
         return EvalResult(value=value, method=METHOD_SERIES, terms_used=terms,
-                          max_term_magnitude=trace[peak], error_estimate=error,
-                          term_trace=trace)
+                          max_term_magnitude=_exp_mpf(max(logs) - log_gamma),
+                          error_estimate=error, term_trace=trace)
 
 
 class ClosedFormCase(enum.Enum):
@@ -298,15 +333,18 @@ def humbert_J(m, nu, x, target_digits=20, dps=None):
 
 def humbert_rescale(result, m, nu, x, dps):
     """``result``, an evaluation of F_3(x; m+1, nu+1), as J_{m,nu}(x): value, peak
-    term and error estimate times (x/3)^(m+nu), rounded to ``dps`` digits."""
+    term, error estimate and (on first read) term trace times (x/3)^(m+nu), at ``dps`` digits."""
     power = to_fraction(m) + to_fraction(nu)
     if power == 0:
         return result
     with mp.workdps(dps):
         factor = (to_mpf(x, dps) / 3) ** to_mpf(power, dps)
+        scale, trace = abs(factor), result.term_trace
+        rescaled = mp.workdps(dps)(lambda: tuple(scale * t for t in trace))
         return replace(result, value=result.value * factor,
-                       max_term_magnitude=abs(factor) * result.max_term_magnitude,
-                       error_estimate=abs(factor) * result.error_estimate)
+                       max_term_magnitude=scale * result.max_term_magnitude,
+                       error_estimate=scale * result.error_estimate,
+                       term_trace=_LazyTrace(len(trace), rescaled))
 
 
 def humbert_identity_check(x, lam, N, target_digits=20, dps=None):

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from hyperbessel import ArityMismatch, OrderUnsupported, PoleParameter, derive_params
+from hyperbessel import (ArityMismatch, OrderUnsupported, PoleParameter, coeffs, derive_params,
+                         series_eval, stirling_matching_coeffs)
+from hyperbessel.precision import to_mpf
 
 
 def test_thirds_case():
@@ -92,3 +94,40 @@ def test_hashable_and_equal():
 def test_accepts_float_and_mpf_inputs():
     p = derive_params(3, (0.25, mp.mpf("0.5")))
     assert p.b_list == (Fraction(1, 4), Fraction(1, 2))
+
+
+def _eager_A0(n, theta, dps):
+    with mp.workdps(dps + 10):
+        a0 = mp.mpf(n) ** (to_mpf(Fraction(-1, 2) - theta, dps + 10)) / (2 * mp.pi) ** (mp.mpf(n - 1) / 2)
+    with mp.workdps(dps):
+        return +a0
+
+
+def test_A0_is_computed_on_first_use_only():
+    p = derive_params(4, ("1/6", "5/12", "13/12"))
+    series_eval(p, 25)
+    assert "A0" not in vars(p)
+    a0 = p.A0
+    assert vars(p)["A0"] is a0 and p.A0 is a0
+
+
+@pytest.mark.parametrize("n, bs", [(3, ("2/3", "5/6")), (4, ("-1/4", "1/2", "5/8")),
+                                   (5, ("1/3", "1/2", "2/3", "5/4"))])
+@pytest.mark.parametrize("dps", [30, 50, 90])
+def test_A0_matches_the_eager_formula_bit_for_bit(n, bs, dps):
+    p = derive_params(n, bs, precision=dps)
+    assert p.A0._mpf_ == _eager_A0(n, p.theta, dps)._mpf_
+
+
+def test_b_order_is_one_key_and_one_table(monkeypatch):
+    p1 = derive_params(5, ("7/12", "-5/12", "29/12", "1/12"))
+    p2 = derive_params(5, ("1/12", "29/12", "7/12", "-5/12"))
+    assert p1 == p2 and hash(p1) == hash(p2)
+    c1 = stirling_matching_coeffs(p1, 20)
+
+    def no_build(*args):
+        raise AssertionError("the stored table was not reused")
+
+    monkeypatch.setattr(coeffs, "_stirling_build", no_build)
+    c2 = stirling_matching_coeffs(p2, 20)
+    assert [c._mpf_ for c in c2] == [c._mpf_ for c in c1]

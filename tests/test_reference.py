@@ -1,4 +1,7 @@
 import logging
+import math
+import pickle
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +12,9 @@ from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, DomainError, PrecisionInsufficient, TailNotConverged,
                          closed_form_eval, derive_params, humbert_J, humbert_identity_check,
-                         series_eval)
-from hyperbessel.precision import to_fraction
+                         reference, series_eval)
+from hyperbessel.precision import auto_series_dps, to_fraction, to_mpf
+from hyperbessel.reference import _exp_mpf, _TermRatio
 
 F = Fraction
 
@@ -217,3 +221,135 @@ def test_identity_collapses_at_minus_one():
 def test_identity_tail_guard():
     with pytest.raises(TailNotConverged):
         humbert_identity_check(4, -1, 3)
+
+
+# ---- the direct sum's internals against straightforward references ----
+
+def _den_reference(n, bs, xq, k):
+    """B(k) = q^n (k+1) prod_j (v_j k + u_j) for x/n = p/q, b_j = u_j/v_j."""
+    out = (xq / n).denominator ** n * (k + 1)
+    for b in bs:
+        out *= b.denominator * k + b.numerator
+    return out
+
+
+def _scan_reference(ratio, n, bs, xq, logs, den, goal):
+    """The term-at-a-time scan loop, on the lists ``logs`` and ``den``."""
+    log_a = math.log(abs(ratio.a))
+    while True:
+        k = len(logs)
+        logs.append(logs[-1] + log_a - math.log(abs(den[-1])))
+        den.append(_den_reference(n, bs, xq, k))
+        if k >= ratio._k_mono and 2 * abs(ratio.a) <= abs(den[k]) and logs[k] <= goal:
+            return k
+
+
+def _split_reference(a, den, lo, hi):
+    """Binary splitting recursed down to single terms."""
+    if hi - lo == 1:
+        return a, den[lo], den[lo]
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split_reference(a, den, lo, mid)
+    p2, q2, t2 = _split_reference(a, den, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _random_ratio_cases(count, seed):
+    rng = random.Random(seed)
+    grid = [F(k, 12) for k in range(-11, 37) if k % 12 or k > 0]
+    for _ in range(count):
+        n = rng.choice((3, 4, 5))
+        bs = tuple(sorted(rng.choice(grid) for _ in range(n - 1)))
+        xq = F(rng.randint(1, 400_000), 1000)
+        yield n, bs, xq
+
+
+def test_scan_in_two_steps_matches_the_reference_loop():
+    for n, bs, xq in list(_random_ratio_cases(25, 3)) + [(3, (F(-5, 2), F(-7, 12)), F(35, 4))]:
+        ratio = _TermRatio(n, bs, xq)
+        logs, den = [0.0], [_den_reference(n, bs, xq, 0)]
+        assert ratio.den == den
+        for goal in (-20.0, -90.0):
+            assert ratio.scan(goal) == _scan_reference(ratio, n, bs, xq, logs, den, goal)
+            assert ratio.logs == logs and ratio.den == den
+
+
+def test_block_leaves_split_like_single_terms():
+    for n, bs, xq in list(_random_ratio_cases(20, 4)) + [(4, (F(-11, 4), F(-3, 2), F(1, 3)), F(9, 2))]:
+        ratio = _TermRatio(n, bs, xq)
+        assert ratio._k_mono <= 3
+        ratio.scan(-200.0)
+        size = len(ratio.den) - 1
+        for terms in range(1, min(size, 40) + 1):
+            for lo in (0, 1, 2, size - terms):     # lo below _k_mono: B(k) < 0 where k + b_j < 0
+                if 0 <= lo and lo + terms <= size:
+                    assert ratio.split(lo, lo + terms) == _split_reference(ratio.a, ratio.den, lo, lo + terms)
+        # an extension merged onto an earlier range, as in the tail check
+        first, more = size // 3, size
+        p, q, t = ratio.split(0, first)
+        p2, q2, t2 = ratio.split(first, more)
+        assert (p * p2, q * q2, t * q2 + p * t2) == _split_reference(ratio.a, ratio.den, 0, more)
+
+
+def _eager_trace(params, x, terms):
+    """|t_k| for k < terms, formed term by term from the float logs."""
+    xq = F(x)
+    logs, den = [0.0], [_den_reference(params.n, params.b_list, xq, 0)]
+    if terms > 1:
+        ratio = _TermRatio(params.n, params.b_list, xq)
+        log_a = math.log(abs(ratio.a))
+        for k in range(1, terms):
+            logs.append(logs[-1] + log_a - math.log(abs(den[-1])))
+            den.append(_den_reference(params.n, params.b_list, xq, k))
+    log_gamma = sum(math.lgamma(b) for b in params.b_list)
+    return tuple(_exp_mpf(log_r - log_gamma) for log_r in logs)
+
+
+@pytest.mark.parametrize("n, bs, x, target", [
+    (3, ("2/3", "5/6"), F(61, 4), 20),
+    (4, ("-1/4", "1/2", "5/8"), F(1237, 10), 30),
+    (5, ("1/3", "1/2", "2/3", "5/4"), F(4003, 7), 20),
+    # within 1e-27 of a zero of F_3: the term count is extended past the first pick
+    (3, ("2/3", "5/6"), F(38700929699882395033204937787, 10 ** 27), 20),
+    (4, ("1/6", "3/4", "4/3"), 0, 20),
+])
+def test_term_trace_read_lazily_is_the_eager_trace(n, bs, x, target):
+    r = series_eval(derive_params(n, bs), x, target_digits=target)
+    want = _eager_trace(derive_params(n, bs), x, r.terms_used)
+    assert len(r.term_trace) == r.terms_used
+    assert tuple(r.term_trace) == want
+    assert [t._mpf_ for t in r.term_trace] == [t._mpf_ for t in want]
+    assert r.term_trace == want and want == r.term_trace
+    assert r.max_term_magnitude._mpf_ == max(want)._mpf_
+    copy = pickle.loads(pickle.dumps(r))
+    assert copy == r and hash(copy) == hash(r) and copy.term_trace == want
+
+
+def test_unread_term_trace_costs_one_exponential(monkeypatch):
+    calls = []
+
+    def counting(log_value):
+        calls.append(log_value)
+        return _exp_mpf(log_value)
+
+    monkeypatch.setattr(reference, "_exp_mpf", counting)
+    r = series_eval(derive_params(4, ("1/6", "3/4", "4/3")), F(2501, 10), target_digits=30)
+    assert r.terms_used > 50
+    assert len(calls) == 1
+    assert r.max_term_magnitude == max(r.term_trace)
+    assert len(calls) == 1 + r.terms_used
+
+
+@pytest.mark.parametrize("m, nu, x", [
+    (1, 2, 10), (F(1, 2), F(-1, 3), F(237, 10)), (F(-1, 2), F(-2, 3), F(41, 4)),
+    (F(-2, 3), F(2, 3), 17), (0, 0, F(7, 2)), (3, F(5, 2), 60),
+])
+def test_humbert_trace_is_in_J_units(m, nu, x):
+    j = humbert_J(m, nu, x)
+    f = series_eval(derive_params(3, (to_fraction(m) + 1, to_fraction(nu) + 1)), x)
+    working = auto_series_dps(20)
+    with mp.workdps(working):
+        scale = abs((to_mpf(x, working) / 3) ** to_mpf(to_fraction(m) + to_fraction(nu), working))
+        want = [(scale * t)._mpf_ for t in f.term_trace]
+    assert [t._mpf_ for t in j.term_trace] == want
+    assert max(j.term_trace)._mpf_ == j.max_term_magnitude._mpf_
