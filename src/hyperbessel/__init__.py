@@ -14,9 +14,9 @@ Any set of exponential levels is summed by one evaluator, ``level_series``;
 from .asym import compound_eval, level_series, optimal_truncation_index, residual_F
 from .coeffs import (CoeffTable, bernoulli_number, closed_form_c123, general_c1,
                      riney_coeffs, stirling_matching_coeffs)
-from .errors import (ArityMismatch, CancellationFailure, CoeffShortfall, DomainError,
-                     HyperBesselError, NoMinimumDetected, OrderUnsupported, PoleParameter,
-                     PrecisionInsufficient, SingularRineyWeights, TailNotConverged)
+from .errors import (ArityMismatch, CoeffShortfall, DomainError, HyperBesselError,
+                     NoMinimumDetected, OrderUnsupported, PoleParameter, PrecisionInsufficient,
+                     SingularRineyWeights, TailNotConverged)
 from .params import ExpansionParams, derive_params
 from .powerseries import PowerSeries1OverS
 from .reference import (ClosedFormCase, EvalResult, closed_form_eval, humbert_J,
@@ -27,7 +27,7 @@ from .verify import (TableReport, TableRow, reproduce_all, reproduce_table1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityMismatch", "CancellationFailure", "ClosedFormCase",
+    "ArityMismatch", "ClosedFormCase",
     "CoeffShortfall", "CoeffTable", "DomainError", "EvalResult", "ExpansionParams",
     "HyperBesselError", "NoMinimumDetected", "OrderUnsupported",
     "PoleParameter", "PowerSeries1OverS", "PrecisionInsufficient",

@@ -34,8 +34,8 @@ are exactly 0, not rounding noise.
 Every evaluation makes one pass over the coefficient table.  The scaled
 terms u_j = c_j x^(-j) are formed once, by a running product of 1/x
 (``CoeffTable.scaled_terms``), ``GUARD_DPS`` digits past the working
-precision; their magnitudes, rounded to it, are the truncation scan, the term
-trace and the first omitted term.  Re(W e^(-i j k pi/n)) depends on j only
+precision; their magnitudes, rounded to it, are the truncation scan, the
+peak term and the first omitted term.  Re(W e^(-i j k pi/n)) depends on j only
 through j mod 2n, so with the 2n class sums S_r = sum_{j = r mod 2n} u_j
 every level is
 
@@ -249,6 +249,8 @@ def level_series(table, x, levels, truncation=OPTIMAL):
     the table.  ``error_estimate`` is the largest requested level's: its
     first omitted term, |prefactor w| |c_M| x^(-M) (the last summed term at
     the end of the table), plus the rounding floor 10^(1-dps) |value|.
+    ``max_term_magnitude`` is that level's largest summed term,
+    |prefactor w| max_{j<M} |c_j| x^(-j).
     """
     params = table.params
     angles = _angles(params.n, levels)
@@ -264,15 +266,15 @@ def level_series(table, x, levels, truncation=OPTIMAL):
     if truncation == OPTIMAL:
         M = _least_term(mags) + 1
     parts = _levels(params, u, xm, M, angles)
-    trace = tuple(mags[:M])
-    omitted = mags[M] if M < len(mags) else trace[-1]
+    omitted = mags[min(M, len(mags) - 1)]
     with mp.workdps(working):
         value = mp.fsum(v for v, _ in parts)
         lead, amplitude = parts[0]
         # where the expansion terminates, c_M vanishes and only the rounding remains
         error = amplitude * omitted + mp.mpf(10) ** (1 - working) * abs(lead)
+        peak = amplitude * max(mags[:M])
     return EvalResult(value=value, method=METHOD_ASYMPTOTIC, terms_used=M,
-                      max_term_magnitude=max(trace), error_estimate=error, term_trace=trace)
+                      max_term_magnitude=peak, error_estimate=error)
 
 
 def optimal_truncation_index(coeffs, x, allow_boundary=False):

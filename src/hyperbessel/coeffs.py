@@ -13,8 +13,8 @@ with c_0 = 1.  Two algorithms are provided:
   order.  Each coefficient of the logarithm is an exact rational in the
   Bernoulli polynomials B_{k+1}(theta'), B_{k+1}(1) and B_{k+1}(b_j), formed
   exactly and rounded once; its s*log s, s, log s and constant parts cancel
-  identically, and ``CancellationFailure`` is raised if theta and theta' are
-  inconsistent with the b_j.  Where the ratio is a constant (the closed-form
+  identically, since ``ExpansionParams`` derives theta and theta' from the
+  b_j.  Where the ratio is a constant (the closed-form
   sets) every c_j, j >= 1, comes out exactly 0.  The longest table built so
   far is kept for each recently used parameter set, and shorter requests are
   answered with its prefix (``_TableStore``).
@@ -42,7 +42,7 @@ from math import comb, lcm
 from mpmath import mp
 from mpmath.libmp import fone, from_rational, fzero, mpf_div, mpf_mul, round_nearest
 
-from .errors import CancellationFailure, OrderUnsupported, SingularRineyWeights
+from .errors import OrderUnsupported, SingularRineyWeights
 from .params import ExpansionParams
 from .powerseries import PowerSeries1OverS, _dot, reciprocal_linear
 from .precision import DEFAULT_DPS, to_mpf
@@ -100,19 +100,14 @@ def _log_ratio_series(params, length, dps):
 
     From ln Gamma(z+a) ~ (z+a-1/2) ln z - z + ln(2 pi)/2
     + sum_k (-)^(k+1) B_{k+1}(a) / (k(k+1) z^k) (DLMF 5.11.8) the s*ln s, s,
-    ln s and constant parts cancel identically when theta' = 1 - theta and
-    theta = (n-1)/2 - sum b_j, which is checked exactly.  What remains is
-    t_0 = 0 and the exact rationals
+    ln s and constant parts cancel identically, since theta' = 1 - theta and
+    theta = (n-1)/2 - sum b_j.  What remains is t_0 = 0 and the exact rationals
 
         t_k = (-)^(k+1)/(k(k+1)) [B_{k+1}(theta')/n^k - B_{k+1}(1) - sum_j B_{k+1}(b_j)],
 
     each formed in integers and rounded once to ``dps`` digits.
     """
     n, bs = params.n, params.b_list
-    if params.theta_prime != 1 - params.theta or params.theta != Fraction(n - 1, 2) - sum(bs):
-        raise CancellationFailure(
-            f"log-ratio terms do not cancel for {params.describe()}: need theta' = 1 - theta "
-            f"and theta = (n-1)/2 - sum b_j, got theta' = {params.theta_prime}")
     # every shift as u/V, so V^(k+1) B_{k+1}(u/V) = sum_i C(k+1, i) B_i V^i u^(k+1-i);
     # D B_i are integers
     V = lcm(params.theta_prime.denominator, *(b.denominator for b in bs))

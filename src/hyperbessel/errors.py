@@ -21,10 +21,6 @@ class SingularRineyWeights(HyperBesselError):
     """The Riney recurrence weights are singular (a = b, a = 1 or b = 1)."""
 
 
-class CancellationFailure(HyperBesselError):
-    """The log/constant terms of the matched gamma-ratio expansion failed to cancel."""
-
-
 class PrecisionInsufficient(HyperBesselError):
     """The working precision cannot deliver the requested target accuracy."""
 

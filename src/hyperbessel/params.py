@@ -8,7 +8,7 @@ constants are
     A0     = n^(-1/2 - theta) / (2 pi)^((n-1)/2)
 
 For n = 3 with b_list = (a, b) this reduces to theta = 1 - a - b and
-A0 = 3^(-1/2 - theta) / (2 pi).  A0 is computed on first use.
+A0 = 3^(-1/2 - theta) / (2 pi).  theta, theta' and A0 are derived on first use.
 """
 
 from dataclasses import dataclass
@@ -25,17 +25,23 @@ SUPPORTED_ORDERS = (3, 4, 5)
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    """Validated parameter set with all derived constants.
+    """Validated parameter set (n, b_list, dps) and the constants derived from it.
 
-    The rational fields are exact; ``A0`` is rounded to ``dps`` digits on first use.
-    Instances are immutable and hashable by their fields (usable as cache keys).
+    ``theta`` and ``theta_prime`` are exact and ``A0`` is rounded to ``dps`` digits, each
+    on first use.  Instances are immutable and hashable by these three fields (cache keys).
     """
 
     n: int
     b_list: tuple          # exact Fractions, ascending
     dps: int
-    theta: Fraction
-    theta_prime: Fraction
+
+    @cached_property
+    def theta(self):
+        return Fraction(self.n - 1, 2) - sum(self.b_list, Fraction(0))
+
+    @cached_property
+    def theta_prime(self):
+        return 1 - self.theta
 
     @cached_property
     def A0(self):
@@ -51,7 +57,7 @@ class ExpansionParams:
 
 
 def derive_params(n, b_list, precision=DEFAULT_DPS):
-    """Validate (n, b_list) and derive all constants at ``precision`` digits.
+    """Validate (n, b_list) as a parameter set at ``precision`` digits.
 
     The order of ``b_list`` is ignored: it is stored sorted, so one parameter
     multiset is one ``ExpansionParams``.  Raises OrderUnsupported,
@@ -66,5 +72,4 @@ def derive_params(n, b_list, precision=DEFAULT_DPS):
     for b in bs:
         if b.denominator == 1 and b <= 0:
             raise PoleParameter(f"parameter {b} is a non-positive integer (gamma pole)")
-    theta = Fraction(n - 1, 2) - sum(bs, Fraction(0))
-    return ExpansionParams(n=int(n), b_list=bs, dps=dps, theta=theta, theta_prime=1 - theta)
+    return ExpansionParams(n=int(n), b_list=bs, dps=dps)

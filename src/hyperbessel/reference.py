@@ -20,10 +20,8 @@ hyper-Bessel function is the rescaled n = 3 case
 import enum
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 from mpmath import libmp, mp
 
@@ -52,9 +50,12 @@ LEAF_TERMS = 8
 class EvalResult:
     """One evaluation: value plus convergence/cancellation diagnostics.
 
-    ``error_estimate`` is absolute.  ``max_term_magnitude`` exposes how much
-    the terms cancel: digits lost ~ log10(max_term / |value|).  A series
-    result's ``term_trace`` is built the first time it is read, then kept.
+    ``error_estimate`` is absolute.  ``max_term_magnitude`` is the largest
+    term summed, in the units of ``value``, so ``digits_lost`` =
+    log10(max_term / |value|) shows how much the terms cancel: for a series
+    result the peak |t_k| to float accuracy, for an asymptotic or compound
+    result the lead level's |prefactor w| times the peak |c_j| x^(-j), and
+    for a closed form |value| itself.
     """
 
     value: object
@@ -62,39 +63,12 @@ class EvalResult:
     terms_used: int
     max_term_magnitude: object
     error_estimate: object
-    term_trace: tuple = ()
 
     @property
     def digits_lost(self):
         if self.value == 0 or self.max_term_magnitude == 0:
             return mp.mpf(0)
         return mp.log10(abs(self.max_term_magnitude) / abs(self.value))
-
-
-class _LazyTrace(Sequence):
-    """The tuple ``build()`` returns, with ``length`` items: built on first read, then kept."""
-
-    def __init__(self, length, build):
-        self._length, self._build = length, build
-
-    @cached_property
-    def _items(self):
-        return self._build()
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __eq__(self, other):
-        return self._items == other
-
-    def __hash__(self):
-        return hash(self._items)
-
-    def __reduce__(self):
-        return tuple, (self._items,)
 
 
 def _exact_argument(x, working):
@@ -217,10 +191,10 @@ def series_eval(params, x, target_digits=20, dps=None):
 
     Only T/Q and the gamma product are rounded, at the working precision
     (``auto_series_dps`` unless ``dps`` is given), so ``error_estimate`` is
-    the tail bound 2|t_N| plus 10^(1-dps) |value|.  ``term_trace`` holds
-    |t_k| for the summed terms to float accuracy, built on first read from
-    the float logs.  Raises PrecisionInsufficient when that rounding cannot
-    certify the target.
+    the tail bound 2|t_N| plus 10^(1-dps) |value|.  ``max_term_magnitude``
+    is the peak |t_k| of the summed terms to float accuracy, from the float
+    logs.  Raises PrecisionInsufficient when that rounding cannot certify
+    the target.
     """
     working = check_dps(dps) if dps is not None else auto_series_dps(target_digits)
     xq = _exact_argument(x, working)
@@ -246,12 +220,9 @@ def series_eval(params, x, target_digits=20, dps=None):
                 f"cannot certify {target_digits} digits at {working} dps: error bound "
                 f"{mp.nstr(error, 3)} against value {mp.nstr(value, 3)}; "
                 f"use at least {target_digits + 2} dps")
-        log_gamma = sum(math.lgamma(b) for b in b_list)
-        logs = ratio.logs[:terms]
-        trace = _LazyTrace(terms, lambda: tuple(_exp_mpf(log_r - log_gamma) for log_r in logs))
+        peak = max(ratio.logs[:terms]) - sum(math.lgamma(b) for b in b_list)
         return EvalResult(value=value, method=METHOD_SERIES, terms_used=terms,
-                          max_term_magnitude=_exp_mpf(max(logs) - log_gamma),
-                          error_estimate=error, term_trace=trace)
+                          max_term_magnitude=_exp_mpf(peak), error_estimate=error)
 
 
 class ClosedFormCase(enum.Enum):
@@ -282,7 +253,7 @@ def closed_form_eval(case, x, precision=None):
 
     N3_FOUR_FIVE_THIRDS carries an x^(-2) prefactor and requires x > 0.
     """
-    dps = check_dps(precision) if precision is not None else 50
+    dps = check_dps(precision) if precision is not None else DEFAULT_DPS
     with mp.workdps(dps):
         xm = to_mpf(x, dps)
         if xm < 0:
@@ -333,18 +304,15 @@ def humbert_J(m, nu, x, target_digits=20, dps=None):
 
 def humbert_rescale(result, m, nu, x, dps):
     """``result``, an evaluation of F_3(x; m+1, nu+1), as J_{m,nu}(x): value, peak
-    term, error estimate and (on first read) term trace times (x/3)^(m+nu), at ``dps`` digits."""
+    term and error estimate times (x/3)^(m+nu), at ``dps`` digits."""
     power = to_fraction(m) + to_fraction(nu)
     if power == 0:
         return result
     with mp.workdps(dps):
         factor = (to_mpf(x, dps) / 3) ** to_mpf(power, dps)
-        scale, trace = abs(factor), result.term_trace
-        rescaled = mp.workdps(dps)(lambda: tuple(scale * t for t in trace))
         return replace(result, value=result.value * factor,
-                       max_term_magnitude=scale * result.max_term_magnitude,
-                       error_estimate=scale * result.error_estimate,
-                       term_trace=_LazyTrace(len(trace), rescaled))
+                       max_term_magnitude=abs(factor) * result.max_term_magnitude,
+                       error_estimate=abs(factor) * result.error_estimate)
 
 
 def humbert_identity_check(x, lam, N, target_digits=20, dps=None):

@@ -26,7 +26,6 @@ from mpmath import mp
 from .asym import level_series, optimal_truncation_index, residual_F
 from .coeffs import riney_coeffs, stirling_matching_coeffs
 from .params import derive_params
-
 from .reference import series_eval
 
 FIXTURE_NAME = "reference_tables.csv"
@@ -150,13 +149,9 @@ def reproduce_table2():
     fixed coefficient budget).
     """
     rows = []
-    tables = {}
     for rec in fixture_rows("T2"):
-        bs = _parse_b_list(rec["b_list"])
-        if bs not in tables:
-            params = derive_params(3, bs, precision=COEFF_DPS + 10)
-            tables[bs] = (params, stirling_matching_coeffs(params, T2_COEFF_BUDGET))
-        params, table = tables[bs]
+        params = derive_params(3, _parse_b_list(rec["b_list"]), precision=COEFF_DPS + 10)
+        table = stirling_matching_coeffs(params, T2_COEFF_BUDGET)
         x = int(rec["x"])
         j0 = optimal_truncation_index(table, x, allow_boundary=True)
         exact = series_eval(params, x, target_digits=34)
@@ -174,14 +169,9 @@ def reproduce_table2():
 
 def _residual_rows(table_id, n):
     rows = []
-    tables = {}
-    recs = fixture_rows(table_id)
-    for rec in recs:
-        bs = _parse_b_list(rec["b_list"])
-        if bs not in tables:
-            params = derive_params(n, bs, precision=COEFF_DPS + 10)
-            tables[bs] = (params, stirling_matching_coeffs(params, RESIDUAL_TABLE_M))
-        params, table = tables[bs]
+    for rec in fixture_rows(table_id):
+        params = derive_params(n, _parse_b_list(rec["b_list"]), precision=COEFF_DPS + 10)
+        table = stirling_matching_coeffs(params, RESIDUAL_TABLE_M)
         x = int(rec["x"])
         if rec["quantity"] == "F_resid":
             j0 = int(rec["j"])

@@ -183,22 +183,6 @@ def test_shortest_tables_bound_the_pochhammer_rows(n, bs):
         assert abs(c1 - want) <= mp.ldexp(1, mp.mag(want) - mp.prec)
 
 
-@pytest.mark.parametrize("d_theta, d_theta_prime", [pytest.param(1, -1, id="theta-vs-sigma"),
-                                                     pytest.param(0, 1, id="theta-prime-only")])
-def test_cancellation_check_guards_inconsistent_params(d_theta, d_theta_prime):
-    # an ExpansionParams whose theta is inconsistent with sigma, or theta'
-    # with theta, breaks the exact cancellation of the log/constant terms,
-    # and the engine must notice
-    import dataclasses
-
-    from hyperbessel import CancellationFailure
-
-    p = derive_params(3, ("2/3", "5/6"))
-    broken = dataclasses.replace(p, theta=p.theta + d_theta, theta_prime=p.theta_prime + d_theta_prime)
-    with pytest.raises(CancellationFailure):
-        stirling_matching_coeffs(broken, 5)
-
-
 def test_permutation_symmetry():
     with mp.workdps(50):
         for engine in (stirling_matching_coeffs, riney_coeffs):

@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from hyperbessel import (ArityMismatch, OrderUnsupported, PoleParameter, coeffs, derive_params,
-                         series_eval, stirling_matching_coeffs)
+from hyperbessel import (ArityMismatch, ExpansionParams, OrderUnsupported, PoleParameter, coeffs,
+                         derive_params, series_eval, stirling_matching_coeffs)
 from hyperbessel.precision import to_mpf
 
 
@@ -89,6 +90,18 @@ def test_hashable_and_equal():
     p2 = derive_params(3, (Fraction(2, 3), Fraction(5, 6)))
     assert p1 == p2
     assert len({p1, p2}) == 1
+
+
+def test_params_are_n_b_and_dps_and_theta_follows_b():
+    assert [f.name for f in dataclasses.fields(ExpansionParams)] == ["n", "b_list", "dps"]
+    p = derive_params(3, ("2/3", "5/6"))
+    assert (p.theta, p.theta_prime) == (Fraction(-1, 2), Fraction(3, 2))
+    q = dataclasses.replace(p, b_list=(Fraction(1, 4), Fraction(7, 12)))
+    assert q.theta == 1 - Fraction(1, 4) - Fraction(7, 12) and q.theta_prime == 1 - q.theta
+    # values read on first use are not fields: a fresh, unread copy is the same key
+    fresh = derive_params(3, ("5/6", "2/3"))
+    assert p == fresh and hash(p) == hash(fresh)
+    assert q != p and dataclasses.replace(p, dps=60) != p and dataclasses.replace(p, n=4) != p
 
 
 def test_accepts_float_and_mpf_inputs():
