@@ -183,6 +183,26 @@ def test_shortest_tables_bound_the_pochhammer_rows(n, bs):
         assert abs(c1 - want) <= mp.ldexp(1, mp.mag(want) - mp.prec)
 
 
+@pytest.mark.parametrize("d_theta, d_theta_prime", [pytest.param(1, -1, id="theta-vs-sigma"),
+                                                     pytest.param(0, 1, id="theta-prime-only")])
+def test_cancellation_check_guards_inconsistent_params(d_theta, d_theta_prime):
+    # the log/constant terms cancel exactly only when theta = (n-1)/2 - sum b_j
+    # and theta' = 1 - theta; both are derived from b, so no route gives the
+    # engine a theta inconsistent with sigma, or a theta' inconsistent with theta
+    import dataclasses
+
+    p = derive_params(3, ("2/3", "5/6"))
+    want = stirling_matching_coeffs(p, 5).c
+    with pytest.raises(TypeError):
+        dataclasses.replace(p, theta=p.theta + d_theta, theta_prime=p.theta_prime + d_theta_prime)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.theta = p.theta + d_theta
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.theta_prime = p.theta_prime + d_theta_prime
+    assert (p.theta, p.theta_prime) == (F(-1, 2), F(3, 2))
+    assert stirling_matching_coeffs(p, 5).c == want
+
+
 def test_permutation_symmetry():
     with mp.workdps(50):
         for engine in (stirling_matching_coeffs, riney_coeffs):
