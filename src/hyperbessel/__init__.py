@@ -11,14 +11,12 @@ Any set of exponential levels is summed by one evaluator, ``level_series``;
 ``compound_eval`` sums them all on a coefficient table it grows as needed.
 """
 
-from .asym import compound_eval, level_series, optimal_truncation_index, residual_F
-from .coeffs import (CoeffTable, bernoulli_number, closed_form_c123, general_c1,
-                     riney_coeffs, stirling_matching_coeffs)
+from .asym import compound_eval, level_series, residual_F
+from .coeffs import CoeffTable, closed_form_c123, general_c1, riney_coeffs, stirling_matching_coeffs
 from .errors import (ArityMismatch, CoeffShortfall, DomainError, HyperBesselError,
                      NoMinimumDetected, OrderUnsupported, PoleParameter, PrecisionInsufficient,
                      SingularRineyWeights, TailNotConverged)
 from .params import ExpansionParams, derive_params
-from .powerseries import PowerSeries1OverS
 from .reference import (ClosedFormCase, EvalResult, closed_form_eval, humbert_J,
                         humbert_identity_check, series_eval)
 from .verify import (TableReport, TableRow, reproduce_all, reproduce_table1,
@@ -27,14 +25,11 @@ from .verify import (TableReport, TableRow, reproduce_all, reproduce_table1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityMismatch", "ClosedFormCase",
-    "CoeffShortfall", "CoeffTable", "DomainError", "EvalResult", "ExpansionParams",
-    "HyperBesselError", "NoMinimumDetected", "OrderUnsupported",
-    "PoleParameter", "PowerSeries1OverS", "PrecisionInsufficient",
-    "SingularRineyWeights", "TableReport", "TableRow",
-    "TailNotConverged", "bernoulli_number", "closed_form_c123", "closed_form_eval",
-    "compound_eval", "derive_params", "general_c1", "humbert_J", "humbert_identity_check",
-    "level_series", "optimal_truncation_index", "reproduce_all", "reproduce_table1",
-    "reproduce_table2", "reproduce_table3", "reproduce_table4", "residual_F", "riney_coeffs",
-    "series_eval", "stirling_matching_coeffs",
+    "ArityMismatch", "ClosedFormCase", "CoeffShortfall", "CoeffTable", "DomainError",
+    "EvalResult", "ExpansionParams", "HyperBesselError", "NoMinimumDetected", "OrderUnsupported",
+    "PoleParameter", "PrecisionInsufficient", "SingularRineyWeights", "TableReport", "TableRow",
+    "TailNotConverged", "closed_form_c123", "closed_form_eval", "compound_eval", "derive_params",
+    "general_c1", "humbert_J", "humbert_identity_check", "level_series", "reproduce_all",
+    "reproduce_table1", "reproduce_table2", "reproduce_table3", "reproduce_table4", "residual_F",
+    "riney_coeffs", "series_eval", "stirling_matching_coeffs",
 ]

@@ -49,7 +49,11 @@ k = n the rotations are exactly +-1 and 0.  Sums are exact and rounded once
 
 Optimal truncation (``OPTIMAL``) cuts every sum at the least magnitude
 |c_j| x^(-j) over the table (the weight and phase are excluded from the
-magnitude, so all levels share one index).
+magnitude, so all levels share one index).  The magnitudes oscillate, so this
+is the table's global least term, not its first local dip; at the table's
+last term it is unconfirmed, and ``level_series`` raises NoMinimumDetected.
+A fixed coefficient budget, as in the golden tables, sums the whole table
+there instead (``verify``).
 """
 
 import functools
@@ -67,8 +71,7 @@ from .params import derive_params
 from .precision import to_mpf
 from .reference import METHOD_ASYMPTOTIC, METHOD_COMPOUND, EvalResult, series_eval
 
-__all__ = ["LEVELS", "OPTIMAL", "compound_eval", "level_series", "optimal_truncation_index",
-           "residual_F", "residual_dps"]
+__all__ = ["LEVELS", "OPTIMAL", "compound_eval", "level_series", "residual_F", "residual_dps"]
 
 logger = logging.getLogger(__name__)
 
@@ -195,14 +198,6 @@ def _scan(table, xm, working):
         return u, [abs(v) for v in u]
 
 
-def _least_term(mags, allow_boundary=False):
-    best = min(range(len(mags)), key=mags.__getitem__)
-    if best == len(mags) - 1 and not allow_boundary:
-        raise NoMinimumDetected(
-            f"term magnitudes still decreasing at the end of a {len(mags)}-coefficient table")
-    return best
-
-
 def _levels(params, u, xm, M, angles):
     """The levels at ``angles``, each summed over u_0..u_{M-1}.
 
@@ -238,6 +233,13 @@ def _angles(n, levels):
     return angles
 
 
+def _term_count(truncation):
+    M = int(truncation)
+    if M < 1:
+        raise ValueError("need at least one term")
+    return M
+
+
 def level_series(table, x, levels, truncation=OPTIMAL):
     """The sum of the named ``levels`` of ``table``'s parameter set at x.
 
@@ -257,14 +259,15 @@ def level_series(table, x, levels, truncation=OPTIMAL):
     working = params.dps
     xm = _positive_x(x, working)
     if truncation != OPTIMAL:
-        M = int(truncation)
-        if M < 1:
-            raise ValueError("need at least one term")
+        M = _term_count(truncation)
         if M > len(table):
             raise CoeffShortfall(f"requested {M} terms but the table holds {len(table)}")
     u, mags = _scan(table, xm, working)
     if truncation == OPTIMAL:
-        M = _least_term(mags) + 1
+        M = min(range(len(mags)), key=mags.__getitem__) + 1
+        if M == len(mags):
+            raise NoMinimumDetected(
+                f"term magnitudes still decreasing at the end of a {len(mags)}-coefficient table")
     parts = _levels(params, u, xm, M, angles)
     omitted = mags[min(M, len(mags) - 1)]
     with mp.workdps(working):
@@ -277,33 +280,20 @@ def level_series(table, x, levels, truncation=OPTIMAL):
                       max_term_magnitude=peak, error_estimate=error)
 
 
-def optimal_truncation_index(coeffs, x, allow_boundary=False):
-    """Index of the least magnitude |c_j| x^(-j) over the table.
-
-    The coefficient magnitudes oscillate, so the scan takes the global least
-    term of the available table rather than the first local dip (shallow
-    pre-asymptotic dips would truncate far too early).  If the least term
-    sits at the very end of the table the minimum is unconfirmed and
-    NoMinimumDetected is raised (extend the table), unless ``allow_boundary``
-    accepts it, as a fixed coefficient budget does.
-    """
-    working = coeffs.params.dps
-    return _least_term(_scan(coeffs, _positive_x(x, working), working)[1], allow_boundary)
-
-
 def compound_eval(params, x, truncation=OPTIMAL, levels=None):
     """``level_series`` over ``levels`` (default: every level of the order), on a
     table long enough for ``truncation``.
 
     For ``"optimal"`` the table starts at max(32, 2x + 16) coefficients and
     grows 1.5-fold, at most twice, while its least term is its last; a term
-    count M takes M + 1 coefficients (at least 2), so that the first omitted
-    term exists.  x must be positive (DomainError otherwise); it is checked
-    before any coefficient table is built.
+    count M takes M + 1 coefficients, so that the first omitted
+    term exists.  x must be positive (DomainError otherwise) and a term count
+    at least 1 (ValueError otherwise); both are checked before any
+    coefficient table is built.
     """
     xm = _positive_x(x, params.dps)
     levels = LEVELS[params.n] if levels is None else levels
-    m = max(32, ceil(2.0 * float(xm)) + 16) if truncation == OPTIMAL else max(int(truncation) + 1, 2)
+    m = max(32, ceil(2.0 * float(xm)) + 16) if truncation == OPTIMAL else _term_count(truncation) + 1
     for _ in range(3):
         try:
             result = level_series(stirling_matching_coeffs(params, m), xm, levels, truncation)

@@ -8,7 +8,6 @@ converted exactly before rounding.
 
 import functools
 import json
-import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -35,29 +34,6 @@ def _numeric_errors(fn):
     return inner
 
 
-def _parse_fraction(text, label):
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"cannot parse {label} value {text!r} (use p/q or a decimal)")
-
-
-def _parse_b_option(b, label="-b"):
-    return tuple(_parse_fraction(part, label) for part in str(b).split(","))
-
-
-def _default_dps(precision):
-    if precision is not None:
-        return precision
-    env = os.environ.get(ENV_DPS)
-    if not env:
-        return None
-    try:
-        return _DPS.convert(env, None, None)
-    except click.BadParameter as exc:
-        raise click.UsageError(f"{ENV_DPS}: {exc.message}")
-
-
 def _resolve_order(n3, n4, n5, humbert):
     chosen = [name for name, flag in (("--n3", n3), ("--n4", n4), ("--n5", n5),
                                       ("--humbert", humbert)) if flag]
@@ -73,37 +49,31 @@ def _build_params(mode, a, b, precision):
     if mode == "--n3":
         if a is None or b is None:
             raise click.UsageError("--n3 needs -a and -b")
-        bs = (_parse_fraction(a, "-a"),) + _parse_b_option(b)
-        if len(bs) != 2:
+        if len(b) != 1:
             raise click.UsageError("--n3 takes scalar -a and -b")
+        bs = (a,) + b
     else:
         if b is None or a is not None:
             raise click.UsageError(f"{mode} needs a comma-separated -b list (and no -a)")
-        bs = _parse_b_option(b)
+        bs = b
     return derive_params(_ORDERS[mode], bs, precision=precision or DEFAULT_DPS)
 
 
-def _parse_x_values(x, x_range):
+def _x_values(x, x_range):
     if (x is None) == (x_range is None):
         raise click.UsageError("provide exactly one of --x or --x-range start:stop:step")
     if x is not None:
-        return [_parse_fraction(x, "--x")]
-    parts = str(x_range).split(":")
-    if len(parts) != 3:
+        return [x]
+    if len(x_range) != 3:
         raise click.UsageError("--x-range must be start:stop:step")
-    start, stop, step = (_parse_fraction(p, "--x-range") for p in parts)
+    start, stop, step = x_range
     if step <= 0:
         raise click.UsageError("--x-range step must be positive")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
-    return values
+    return [start + k * step for k in range((stop - start) // step + 1)]
 
 
 def _emit(rows, headers, fmt, output, summary=None):
-    """Render rows (lists of strings) as text, CSV or JSON."""
+    """Render rows (lists of strings) as text, CSV or JSON, and write them."""
     if fmt == "csv":
         lines = [",".join(headers)] + [",".join(r) for r in rows]
         text = "\n".join(lines) + "\n"
@@ -118,6 +88,11 @@ def _emit(rows, headers, fmt, output, summary=None):
         text = "\n".join(lines) + "\n"
     if summary and fmt == "text":
         text += summary + "\n"
+    _write(text, output)
+
+
+def _write(text, output):
+    """Write ``text`` to the ``output`` path, or to stdout where that is unset or "-"."""
     if output and output != "-":
         with open(output, "w") as fh:
             fh.write(text)
@@ -154,13 +129,42 @@ class _KeywordOrInt(click.ParamType):
         return number
 
 
-_DPS = click.IntRange(min=MIN_DPS)
+class _Rationals(click.ParamType):
+    """Exact rationals, each p/q or a decimal: one, or a tuple of ``sep``-separated ones."""
 
-precision_option = click.option("--precision", "-p", type=_DPS, default=None,
-                                help=f"working precision in decimal digits (default: auto; env {ENV_DPS})")
-format_option = click.option("--format", "-f", "fmt", type=click.Choice(["text", "csv", "json"]),
-                             default="text", help="output format")
-output_option = click.option("--output", "-o", default=None, help="output path (default: stdout)")
+    name = "rational"
+
+    def __init__(self, sep=None):
+        self.sep = sep
+
+    def convert(self, value, param, ctx):
+        try:
+            parts = tuple(Fraction(part) for part in (value.split(self.sep) if self.sep else [value]))
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"cannot parse {value!r} (use p/q or a decimal)", param, ctx)
+        return parts if self.sep else parts[0]
+
+
+_format_option = click.option("--format", "-f", "fmt", type=click.Choice(["text", "csv", "json"]),
+                              default="text", help="output format")
+_output_option = click.option("--output", "-o", help="output path (default: stdout)")
+
+#: the options of every command that evaluates one function: order, parameters, precision, output
+_FUNCTION_OPTIONS = (
+    click.option("--n3", is_flag=True, help="order-3 function with -a, -b"),
+    click.option("--n4", is_flag=True, help="order-4 function with -b b1,b2,b3"),
+    click.option("--n5", is_flag=True, help="order-5 function with -b b1,...,b4"),
+    click.option("-a", type=_Rationals(), help="first denominator parameter (--n3)"),
+    click.option("-b", type=_Rationals(","), help="denominator parameter or comma-separated list"),
+    click.option("--precision", "-p", type=click.IntRange(min=MIN_DPS), envvar=ENV_DPS,
+                 help=f"working precision in decimal digits (default: auto; env {ENV_DPS})"),
+    _format_option,
+    _output_option,
+)
+
+
+def _function_options(command):
+    return functools.reduce(lambda fn, option: option(fn), reversed(_FUNCTION_OPTIONS), command)
 
 
 @click.group()
@@ -170,42 +174,32 @@ def main():
 
 
 @main.command("eval")
-@click.option("--n3", is_flag=True, help="order-3 function with -a, -b")
-@click.option("--n4", is_flag=True, help="order-4 function with -b b1,b2,b3")
-@click.option("--n5", is_flag=True, help="order-5 function with -b b1,...,b4")
+@_function_options
 @click.option("--humbert", is_flag=True, help="hyper-Bessel J_{m,nu} with -m, -n")
-@click.option("-a", default=None, help="first denominator parameter (--n3)")
-@click.option("-b", default=None, help="denominator parameter or comma-separated list")
-@click.option("-m", "m_order", default=None, help="first hyper-Bessel order (--humbert)")
-@click.option("-n", "nu_order", default=None, help="second hyper-Bessel order (--humbert)")
-@click.option("--x", default=None, help="evaluation point (x >= 0)")
-@click.option("--x-range", default=None, help="range start:stop:step")
+@click.option("-m", "m_f", type=_Rationals(), help="first hyper-Bessel order (--humbert)")
+@click.option("-n", "nu_f", type=_Rationals(), help="second hyper-Bessel order (--humbert)")
+@click.option("--x", type=_Rationals(), help="evaluation point (x >= 0)")
+@click.option("--x-range", type=_Rationals(":"), help="range start:stop:step")
 @click.option("--target", type=click.IntRange(min=1), default=20, help="target significant digits")
 @click.option("--method", type=click.Choice(["series", "compound", "both"]), default="series")
 @click.option("--trunc", type=_KeywordOrInt(asym.OPTIMAL, 1), default=asym.OPTIMAL,
               help="compound truncation: 'optimal' or a term count")
 @click.option("--scale", type=click.Choice(["none", "exp-half"]), default="none",
               help="report value and error estimate scaled by e^(-x/2)")
-@precision_option
-@format_option
-@output_option
 @_numeric_errors
-def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
+def cmd_eval(n3, n4, n5, humbert, a, b, m_f, nu_f, x, x_range, target,
              method, trunc, scale, precision, fmt, output):
     """Evaluate the function by direct summation and/or the compound expansion."""
-    precision = _default_dps(precision)
     mode = _resolve_order(n3, n4, n5, humbert)
-    xs = _parse_x_values(x, x_range)
+    xs = _x_values(x, x_range)
     if any(v < 0 for v in xs):
         raise click.UsageError("x must be non-negative")
 
     if humbert:
-        if m_order is None or nu_order is None:
+        if m_f is None or nu_f is None:
             raise click.UsageError("--humbert needs -m and -n")
         if a is not None or b is not None:
             raise click.UsageError("--humbert takes -m/-n, not -a/-b")
-        m_f = _parse_fraction(m_order, "-m")
-        nu_f = _parse_fraction(nu_order, "-n")
         params = derive_params(3, (m_f + 1, nu_f + 1), precision=precision or DEFAULT_DPS)
     else:
         params = _build_params(mode, a, b, precision)
@@ -234,21 +228,13 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_order, nu_order, x, x_range, target,
 
 
 @main.command("coeffs")
-@click.option("--n3", is_flag=True)
-@click.option("--n4", is_flag=True)
-@click.option("--n5", is_flag=True)
-@click.option("-a", default=None)
-@click.option("-b", default=None)
+@_function_options
 @click.option("-M", "m_count", type=click.IntRange(min=1), default=11,
               help="number of coefficients c_0..c_{M-1}")
 @click.option("--method", type=click.Choice(["riney", "stirling", "both"]), default="stirling")
-@precision_option
-@format_option
-@output_option
 @_numeric_errors
 def cmd_coeffs(n3, n4, n5, a, b, m_count, method, precision, fmt, output):
     """Tabulate the expansion coefficients c_j by one or both engines."""
-    precision = _default_dps(precision)
     mode = _resolve_order(n3, n4, n5, False)
     params = _build_params(mode, a, b, precision)
     out_dps = params.dps
@@ -272,27 +258,18 @@ def cmd_coeffs(n3, n4, n5, a, b, m_count, method, precision, fmt, output):
 
 
 @main.command("residual")
-@click.option("--n3", is_flag=True)
-@click.option("--n4", is_flag=True)
-@click.option("--n5", is_flag=True)
-@click.option("-a", default=None)
-@click.option("-b", default=None)
-@click.option("--x", required=True)
+@_function_options
+@click.option("--x", "xv", type=_Rationals(), required=True)
 @click.option("--j0", type=_KeywordOrInt("auto", 0), default="auto",
               help="dominant truncation index (inclusive), or 'auto'")
-@precision_option
-@format_option
-@output_option
 @_numeric_errors
-def cmd_residual(n3, n4, n5, a, b, x, j0, precision, fmt, output):
+def cmd_residual(n3, n4, n5, a, b, xv, j0, precision, fmt, output):
     """Compare the numerically extracted residual with the exponentially small expansion.
 
     The parameters are built at the precision the residual needs at this x,
     or at --precision (or the environment override) where that is higher.
     """
-    precision = _default_dps(precision)
     mode = _resolve_order(n3, n4, n5, False)
-    xv = _parse_fraction(x, "--x")
     if xv <= 0:
         raise click.UsageError("residual analysis needs x > 0")
     params = _build_params(mode, a, b, max(precision or DEFAULT_DPS,
@@ -309,27 +286,19 @@ def cmd_residual(n3, n4, n5, a, b, x, j0, precision, fmt, output):
 
 
 @main.command("tables")
-@click.option("--table", "which", default="all", help="1 | 2 | 3 | 4 | all")
-@format_option
-@output_option
+@click.option("--table", "which", type=click.Choice([*verify.REPRODUCERS, "all"]), default="all",
+              help="the golden table to reproduce")
+@_format_option
+@_output_option
 @_numeric_errors
 def cmd_tables(which, fmt, output):
     """Reproduce the golden reference tables; exit nonzero when any row fails."""
-    if which == "all":
-        reports = verify.reproduce_all()
-    elif which in verify.REPRODUCERS:
-        reports = (verify.REPRODUCERS[which](),)
-    else:
-        raise click.UsageError(f"unknown table {which!r} (use 1, 2, 3, 4 or all)")
+    reports = verify.reproduce_all() if which == "all" else (verify.REPRODUCERS[which](),)
     if fmt == "json":
         text = "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
     else:
         text = "\n\n".join(r.to_text() for r in reports) + "\n"
-    if output and output != "-":
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(text, output)
     if not all(r.passed for r in reports):
         raise SystemExit(1)
 

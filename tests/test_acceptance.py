@@ -21,8 +21,8 @@ import pytest
 from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, closed_form_c123, closed_form_eval, derive_params,
-                         general_c1, humbert_identity_check, level_series,
-                         optimal_truncation_index, reproduce_table1, reproduce_table2,
+                         general_c1, humbert_identity_check, level_series, reproduce_table1,
+                         reproduce_table2,
                          reproduce_table3, reproduce_table4, riney_coeffs, series_eval,
                          stirling_matching_coeffs)
 
@@ -111,7 +111,7 @@ def test_criterion_06_truncation_rule_regression():
     for (bs, x), want in expect.items():
         p = derive_params(3, bs)
         t = stirling_matching_coeffs(p, 45)
-        assert optimal_truncation_index(t, x) == want
+        assert level_series(t, x, ("dominant",)).terms_used - 1 == want
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -128,7 +128,7 @@ def test_criterion_06_quoted_truncation_indices():
     for n, bs, x, j0_quoted in quoted:
         p = derive_params(n, bs)
         t = stirling_matching_coeffs(p, 45)
-        j0 = optimal_truncation_index(t, x)
+        j0 = level_series(t, x, ("dominant",)).terms_used - 1
         if abs(j0 - j0_quoted) > 1:
             misses.append((bs, x, j0, j0_quoted))
     ok = not misses

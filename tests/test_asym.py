@@ -11,9 +11,9 @@ from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, CoeffShortfall, DomainError, NoMinimumDetected,
                          OrderUnsupported, closed_form_eval, compound_eval,
-                         derive_params, level_series, optimal_truncation_index, residual_F,
-                         series_eval, stirling_matching_coeffs)
-from hyperbessel import asym, coeffs
+                         derive_params, level_series, residual_F, series_eval,
+                         stirling_matching_coeffs)
+from hyperbessel import asym, coeffs, verify
 from hyperbessel.precision import to_mpf
 
 F = Fraction
@@ -262,12 +262,16 @@ def test_compound_rejects_non_positive_x_before_building_a_table():
     # a parameter set no other test uses, so a table built for it would show in the store
     p = derive_params(4, ("7/12", "5/6", "13/12"), precision=41)
     for x in (0, -1, F(-1, 2), "-3"):
-        for truncation in ("optimal", 5):
+        for truncation in ("optimal", 5, 0, -3):
             with pytest.raises(DomainError):
                 compound_eval(p, x, truncation=truncation)
+    # so is a term count below 1
+    for truncation in (0, -3):
+        with pytest.raises(ValueError):
+            compound_eval(p, 10, truncation=truncation)
     assert p not in coeffs._TABLES._tables
     with pytest.raises(DomainError):
-        optimal_truncation_index(stirling_matching_coeffs(p, 8), 0)
+        level_series(stirling_matching_coeffs(p, 8), 0, ("dominant",))
 
 
 def test_sign_alternation_consistency():
@@ -287,17 +291,17 @@ def test_sign_alternation_consistency():
 def test_optimal_truncation_frozen_indices():
     p = derive_params(3, ("2/3", "5/6"))
     t = stirling_matching_coeffs(p, 60)
-    assert optimal_truncation_index(t, 10) == 16
-    assert optimal_truncation_index(t, 20) == 34
+    assert level_series(t, 10, ("dominant",)).terms_used == 17
+    assert level_series(t, 20, ("dominant",)).terms_used == 35
 
 
 def test_optimal_truncation_no_minimum():
     p = derive_params(3, ("2/3", "5/6"))
     t = stirling_matching_coeffs(p, 10)
     with pytest.raises(NoMinimumDetected):
-        optimal_truncation_index(t, 50)  # terms still decreasing at the table end
-    # a fixed coefficient budget takes the boundary as its least term
-    assert optimal_truncation_index(t, 50, allow_boundary=True) == 9
+        level_series(t, 50, ("dominant",))  # terms still decreasing at the table end
+    # a fixed coefficient budget, as in the golden tables, sums the whole table
+    assert verify._least_term_sum(t, 50, "dominant").terms_used == 10
 
 
 @pytest.mark.parametrize("n, bs, level", [
@@ -412,7 +416,7 @@ def test_n5_intermediate_in_residual():
     # the levels below the dominant one explain the residual, and the middle level most of it
     p = derive_params(5, ("1/5", "2/5", "3/5", "9/10"), precision=60)
     t = stirling_matching_coeffs(p, 100)
-    j0 = optimal_truncation_index(t, 40)
+    j0 = level_series(t, 40, ("dominant",)).terms_used - 1
     resid = residual_F(p, 40, j0)
     below = level_series(t, 40, ("intermediate", "subdominant"), j0 + 1).value
     sub = level_series(t, 40, ("subdominant",), j0 + 1).value
@@ -445,7 +449,7 @@ def test_exp_small_optimal_includes_intermediate(n, bs, x):
     below = [level for level in asym.LEVELS[n] if level != "dominant"]
     es = level_series(t, x, below)
     j0 = es.terms_used - 1
-    assert j0 == optimal_truncation_index(t, x)
+    assert j0 == level_series(t, x, ("dominant",)).terms_used - 1
     levels = [level_series(t, x, (level,), j0 + 1).value for level in below]
     with mp.workdps(80):
         assert levels[0] != 0

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ from mpmath import mp
 from mpmath.libmp import from_rational, round_nearest
 
 from hyperbessel import (ClosedFormCase, OrderUnsupported, SingularRineyWeights,
-                         bernoulli_number, closed_form_c123, compound_eval, derive_params, general_c1,
+                         closed_form_c123, compound_eval, derive_params, general_c1,
                          riney_coeffs, stirling_matching_coeffs)
-from hyperbessel import coeffs
+from hyperbessel import asym, coeffs
+from hyperbessel.coeffs import bernoulli_number
 from hyperbessel.verify import fixture_rows
 
 F = Fraction
@@ -251,6 +253,56 @@ def test_inverse_factorial_identity():
                     poch *= 3 * s + tp + j
                 omitted = max(abs(c) for c in t.c[-3:]) / poch * (3 * s)
                 assert abs(lhs - rhs) <= 10 * omitted
+
+
+def _resurgence_sets(per_order=4, seed=12):
+    """b on the 1/12 grid with a nonzero multiplier S, and away from the Riney
+    singularities for n = 3, where both engines are checked."""
+    rng, sets = random.Random(seed), []
+    for n in (3, 4, 5):
+        drawn = []
+        while len(drawn) < per_order:
+            bs = tuple(F(rng.randint(-11, 35), 12) for _ in range(n - 1))
+            if any(b.denominator == 1 and b <= 0 for b in bs) or (n == 3 and len({*bs, 1}) < 3):
+                continue
+            if not asym._vanishes(((F(1), F(0)),) + tuple((F(1), 2 * b) for b in bs)):
+                drawn.append(bs)
+        engines = ("stirling", "riney") if n == 3 else ("stirling",)
+        sets += [(n, bs, engine) for bs in drawn for engine in engines]
+    return sets
+
+
+#: rho_4 from the zeta = -1 singularity, rho_5 from the next pair; n = 3 has none,
+#: and its error comes from the cut at L
+RESURGENCE_RHO = {3: 0.5, 4: 2 ** -0.5, 5: math.sin(math.pi / 5) / math.sin(2 * math.pi / 5)}
+RESURGENCE_C = {3: 100, 4: 10, 5: 10}
+
+
+@pytest.mark.parametrize("n, bs, engine", _resurgence_sets())
+def test_late_coefficients_follow_the_resurgence_relation(n, bs, engine):
+    """c_j ~ 2 Re[K g_j], g_j = zeta^theta sum_{m<L} c_m zeta^(-m) Gamma(j-m) / (1-zeta)^(j-m),
+    zeta = e^(2 pi i/n), with the Stokes multiplier S = 2 pi i K = -(1 + sum_r e^(2 pi i b_r)).
+
+    K is fitted from each pair (c_J, c_{J+1}), J = 30, 32, ..., 88, L = min(J/2, 30), so
+    every c_j from 30 to 89 enters one fit; each fit must give S to C rho_n^J.
+    """
+    p = derive_params(n, bs, precision=60)
+    t = (stirling_matching_coeffs if engine == "stirling" else riney_coeffs)(p, 92)
+    rho, worst = RESURGENCE_RHO[n], []
+    with mp.workdps(60):
+        zeta = mp.expjpi(mp.mpf(2) / n)
+        stokes = -(1 + mp.fsum(mp.expjpi(2 * as_mpf(b, 60)) for b in p.b_list))
+        lead = mp.expjpi(2 * as_mpf(p.theta, 60) / n)
+        scaled = [t[m] * ((1 - zeta) / zeta) ** m for m in range(30)]
+        for J in range(30, 89, 2):
+            g = [lead / (1 - zeta) ** j * mp.fsum(scaled[m] * math.factorial(j - m - 1)
+                                                  for m in range(min(J // 2, 30)))
+                 for j in (J, J + 1)]
+            k = mp.lu_solve(mp.matrix([[2 * gj.real, -2 * gj.imag] for gj in g]),
+                            mp.matrix([t[J], t[J + 1]]))
+            worst.append((float(abs(2j * mp.pi * mp.mpc(k[0], k[1]) / stokes - 1)) / rho ** J, J))
+    ratio, J = max(worst)
+    assert ratio <= RESURGENCE_C[n], f"J = {J}: |S_J/S - 1| = {ratio:.3g} rho^J"
 
 
 def test_log_ratio_series_against_bernoulli_polynomials():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, fnan, fone, from_man_exp, from_rational, fzero, round_nearest
 
-from hyperbessel import PowerSeries1OverS
-from hyperbessel.powerseries import _dot, reciprocal_linear
+from hyperbessel.powerseries import PowerSeries1OverS, _dot, reciprocal_linear
 from hyperbessel.precision import to_fraction, to_mpf
 
 
