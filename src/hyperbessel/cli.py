@@ -17,8 +17,8 @@ from mpmath import mp
 from . import asym, coeffs as coeffs_mod, verify
 from .errors import HyperBesselError
 from .params import derive_params
-from .precision import DEFAULT_DPS, MIN_DPS, to_mpf
-from .reference import humbert_J, humbert_rescale, series_eval
+from .precision import DEFAULT_DPS, MIN_DPS, auto_series_dps, to_mpf
+from .reference import humbert_rescale, series_eval
 
 ENV_DPS = "HYPERBESSEL_DPS"
 
@@ -205,24 +205,23 @@ def cmd_eval(n3, n4, n5, humbert, a, b, m_f, nu_f, x, x_range, target,
         params = _build_params(mode, a, b, precision)
 
     methods = ["series", "compound"] if method == "both" else [method]
-    out_dps = precision or DEFAULT_DPS
     rows = []
     for xv in xs:
         for meth in methods:
+            # each result is rescaled, scaled and printed at the precision it was computed at
             if meth == "series":
-                if humbert:
-                    res = humbert_J(m_f, nu_f, xv, target_digits=target, dps=precision)
-                else:
-                    res = series_eval(params, xv, target_digits=target, dps=precision)
+                res = series_eval(params, xv, target_digits=target, dps=precision)
+                dps = precision or auto_series_dps(target)
             else:
                 res = asym.compound_eval(params, xv, truncation=trunc)
-                if humbert:
-                    res = humbert_rescale(res, m_f, nu_f, xv, out_dps)
+                dps = params.dps
+            if humbert:
+                res = humbert_rescale(res, m_f, nu_f, xv, dps)
             if scale == "exp-half":
-                with mp.workdps(out_dps):
-                    half = mp.exp(-to_mpf(xv, out_dps) / 2)
+                with mp.workdps(dps):
+                    half = mp.exp(-to_mpf(xv, dps) / 2)
                     res = replace(res, value=res.value * half, error_estimate=res.error_estimate * half)
-            rows.append([_xstr(xv), _num(res.value, out_dps), res.method, str(res.terms_used),
+            rows.append([_xstr(xv), _num(res.value, dps), res.method, str(res.terms_used),
                          _num(res.error_estimate, 8)])
     _emit(rows, ["x", "value", "method", "terms", "error_estimate"], fmt, output)
 

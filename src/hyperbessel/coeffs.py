@@ -27,9 +27,9 @@ with c_0 = 1.  Two algorithms are provided:
   with b_1 = a, b_2 = b, b_3 = 1 and weights D_r that are singular at a = b,
   a = 1 or b = 1 (``SingularRineyWeights``).
 
-Closed forms for c_1..c_3 (n = 3) and the general-order c_1 are also exposed;
-they serve as independent cross-checks of both engines.  A ``CoeffTable``
-carries its parameter set, so the asymptotic levels take the table alone.
+A ``CoeffTable`` carries its parameter set, so the asymptotic levels take the
+table alone.  The closed forms for c_1..c_3 (n = 3) and the general-order c_1
+that cross-check both engines live with the tests (``tests/oracles.py``).
 """
 
 import functools
@@ -45,7 +45,7 @@ from mpmath.libmp import fone, from_rational, fzero, mpf_div, mpf_mul, round_nea
 from .errors import OrderUnsupported, SingularRineyWeights
 from .params import ExpansionParams
 from .powerseries import PowerSeries1OverS, _dot, reciprocal_linear
-from .precision import DEFAULT_DPS, to_mpf
+from .precision import to_mpf
 
 logger = logging.getLogger(__name__)
 
@@ -259,31 +259,3 @@ def riney_coeffs(params, M):
     c = _riney_build(params, int(M), params.dps + 10)
     return CoeffTable(params=params, c=c, method="riney")
 
-
-def closed_form_c123(a, b, precision=DEFAULT_DPS):
-    """The exact polynomials for c_1, c_2, c_3 at n = 3 (symmetric in a, b).
-
-    Evaluated in exact rational arithmetic, then rounded to ``precision``.
-    """
-    from .precision import to_fraction
-    a = to_fraction(a)
-    b = to_fraction(b)
-    p = {k: a ** k + b ** k for k in range(1, 7)}
-    ab = a * b
-    c1 = Fraction(-2, 3) + p[1] - p[2] + ab
-    c2 = Fraction(2, 9) + Fraction(1, 6) * (
-        -4 * p[1] + p[2] - 4 * p[3] + 3 * p[4] - 3 * ab * (p[1] + 2 * p[2]) + ab * (17 + 9 * ab))
-    c3 = Fraction(32, 81) + Fraction(1, 162) * (
-        -72 * p[1] - 198 * p[2] + 45 * p[3] + 81 * p[4] + 27 * p[5] - 27 * p[6]
-        + 3 * ab * (120 + 135 * ab + 63 * ab ** 2)
-        + 27 * ab ** 2 * (p[1] - 6 * p[2])
-        + 9 * ab * (24 * p[1] - 63 * p[2] + 6 * p[3] + 9 * p[4]))
-    return tuple(to_mpf(v, precision) for v in (c1, c2, c3))
-
-
-def general_c1(params):
-    """c_1 = (n/2) { sum_j b_j(1-b_j) - theta(1-theta)/n - (n^2-1)/(6n) }, any order."""
-    n = params.n
-    s = sum((bj * (1 - bj) for bj in params.b_list), Fraction(0))
-    value = Fraction(n, 2) * (s - params.theta * (1 - params.theta) / n - Fraction(n * n - 1, 6 * n))
-    return to_mpf(value, params.dps)

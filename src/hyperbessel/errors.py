@@ -25,10 +25,6 @@ class PrecisionInsufficient(HyperBesselError):
     """The working precision cannot deliver the requested target accuracy."""
 
 
-class TailNotConverged(HyperBesselError):
-    """An outer series was truncated while its last term was still significant."""
-
-
 class DomainError(HyperBesselError):
     """Argument outside the supported domain (e.g. x < 0, or x = 0 where x > 0 is required)."""
 

@@ -8,12 +8,13 @@ constants are
     A0     = n^(-1/2 - theta) / (2 pi)^((n-1)/2)
 
 For n = 3 with b_list = (a, b) this reduces to theta = 1 - a - b and
-A0 = 3^(-1/2 - theta) / (2 pi).  theta, theta' and A0 are derived on first use.
+A0 = 3^(-1/2 - theta) / (2 pi).  theta, theta' and A0 are derived on first use,
+and A0 is kept for the 64 most recent (n, theta, dps).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from mpmath import mp
 
@@ -45,15 +46,22 @@ class ExpansionParams:
 
     @cached_property
     def A0(self):
-        with mp.workdps(self.dps + 10):
-            a0 = (mp.mpf(self.n) ** (to_mpf(Fraction(-1, 2) - self.theta, self.dps + 10))
-                  / (2 * mp.pi) ** (mp.mpf(self.n - 1) / 2))
-        with mp.workdps(self.dps):
-            return +a0
+        return _a0(self.n, self.theta, self.dps)
 
     def describe(self):
         bs = ", ".join(str(b) for b in self.b_list)
         return f"n={self.n} b=({bs}) theta={self.theta} dps={self.dps}"
+
+
+@lru_cache(maxsize=64)
+def _a0(n, theta, dps):
+    """A0 rounded to ``dps`` digits.  Cached here, not only per instance, because each
+    ``derive_params`` call makes a new instance while the parameter sets of a sweep recur."""
+    with mp.workdps(dps + 10):
+        a0 = (mp.mpf(n) ** to_mpf(Fraction(-1, 2) - theta, dps + 10)
+              / (2 * mp.pi) ** (mp.mpf(n - 1) / 2))
+    with mp.workdps(dps):
+        return +a0
 
 
 def derive_params(n, b_list, precision=DEFAULT_DPS):

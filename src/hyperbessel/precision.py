@@ -61,7 +61,7 @@ def auto_series_dps(target_digits):
     ``series_eval`` forms the partial sum exactly, so the ~e^x cancellation
     between its terms costs no digits and the precision does not depend on
     x.  Only the final division and the gamma product are rounded; the guard
-    covers them and a caller's rescaling (``humbert_J``).  Low targets still
+    covers them and a caller's rescaling (``humbert_rescale``).  Low targets still
     get ``DEFAULT_DPS`` digits.
     """
     working = max(DEFAULT_DPS, int(target_digits) + SERIES_GUARD_DIGITS)

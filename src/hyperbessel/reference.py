@@ -14,7 +14,10 @@ numbers", 1998).  The ~e^x cancellation therefore costs no digits: only the
 final division and the prod_j Gamma(b_j) factor are rounded.  The Humbert
 hyper-Bessel function is the rescaled n = 3 case
 
-    J_{m,nu}(x) = (x/3)^(m+nu) F_3(x; b = (m+1, nu+1)).
+    J_{m,nu}(x) = (x/3)^(m+nu) F_3(x; b = (m+1, nu+1)),
+
+and ``humbert_rescale`` is the one place that applies the factor, to a
+series or a compound evaluation of F_3 alike.
 """
 
 import enum
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 from mpmath import libmp, mp
 
-from .errors import DomainError, PrecisionInsufficient, TailNotConverged
+from .errors import DomainError, PrecisionInsufficient
 from .params import derive_params
 from .precision import DEFAULT_DPS, auto_series_dps, check_dps, to_fraction, to_mpf
 
@@ -283,69 +286,31 @@ def closed_form_eval(case, x, precision=None):
 def humbert_J(m, nu, x, target_digits=20, dps=None):
     """The hyper-Bessel function J_{m,nu}(x) = (x/3)^(m+nu) F_3(x; m+1, nu+1).
 
-    The orders need not be integers; m+1 and nu+1 must avoid the gamma poles.
-    x = 0 requires m + nu >= 0 (J = 1 at m + nu = 0, else 0).
+    F_3 is summed by ``series_eval`` and rescaled by ``humbert_rescale``.  The
+    orders need not be integers; m+1 and nu+1 must avoid the gamma poles.
+    x = 0 requires m + nu >= 0: J is 0 where m + nu > 0, and
+    1/(Gamma(m+1) Gamma(1-m)) at nu = -m.
     """
-    m = to_fraction(m)
-    nu = to_fraction(nu)
-    power = m + nu
-    x_frac_zero = to_mpf(x, 30) == 0
-    if x_frac_zero and power < 0:
-        raise DomainError("x = 0 requires m + nu >= 0")
     working = check_dps(dps) if dps is not None else auto_series_dps(target_digits)
-    params = derive_params(3, (m + 1, nu + 1), precision=working)
-    if x_frac_zero and power > 0:
-        with mp.workdps(working):
-            return EvalResult(value=mp.mpf(0), method=METHOD_SERIES, terms_used=1,
-                              max_term_magnitude=mp.mpf(0), error_estimate=mp.mpf(0))
+    params = derive_params(3, (to_fraction(m) + 1, to_fraction(nu) + 1), precision=working)
     return humbert_rescale(series_eval(params, x, target_digits=target_digits, dps=working),
                            m, nu, x, working)
 
 
 def humbert_rescale(result, m, nu, x, dps):
     """``result``, an evaluation of F_3(x; m+1, nu+1), as J_{m,nu}(x): value, peak
-    term and error estimate times (x/3)^(m+nu), at ``dps`` digits."""
+    term and error estimate times (x/3)^(m+nu), at ``dps`` digits.
+
+    Raises DomainError at x = 0 when m + nu < 0, where the factor has a pole.
+    """
     power = to_fraction(m) + to_fraction(nu)
     if power == 0:
         return result
     with mp.workdps(dps):
-        factor = (to_mpf(x, dps) / 3) ** to_mpf(power, dps)
+        xm = to_mpf(x, dps)
+        if xm == 0 and power < 0:
+            raise DomainError("x = 0 requires m + nu >= 0")
+        factor = (xm / 3) ** to_mpf(power, dps)
         return replace(result, value=result.value * factor,
                        max_term_magnitude=abs(factor) * result.max_term_magnitude,
                        error_estimate=abs(factor) * result.error_estimate)
-
-
-def humbert_identity_check(x, lam, N, target_digits=20, dps=None):
-    """Partial sum of sum_k (-lam*x/3)^k / k! J_{k,k}(x) against J_{0,0}(x (1+lam)^(1/3)).
-
-    Returns (lhs, rhs, |lhs - rhs|).  Raises TailNotConverged when the first
-    omitted outer term still exceeds the 10^(-target) tolerance.  The outer
-    sum alternates and its terms grow up to ~e^x (lam = -1) times the result,
-    so unlike ``series_eval`` it needs guard digits that grow with x: it works
-    at 1.2 x + 30 digits above the target and sums each J_{k,k} to 10 digits
-    below that.
-    """
-    lam = to_fraction(lam)
-    if lam < -1:
-        raise DomainError("need 1 + lam >= 0 so the right-hand argument is real")
-    guard = math.ceil(1.2 * float(to_mpf(x, 30))) + 30
-    working = check_dps(dps) if dps is not None else max(target_digits + guard, DEFAULT_DPS)
-    with mp.workdps(working):
-        xm = to_mpf(x, working)
-        lam_m = to_mpf(lam, working)
-        lhs = mp.mpf(0)
-        outer = mp.mpf(1)  # (-lam x/3)^k / k!
-        for k in range(N + 1):
-            jkk = humbert_J(k, k, xm, target_digits=working - 10, dps=working)
-            lhs += outer * jkk.value
-            outer = outer * (-lam_m * xm / 3) / (k + 1)
-        tol = mp.mpf(10) ** (-target_digits)
-        if outer != 0:
-            omitted = abs(outer) * abs(humbert_J(N + 1, N + 1, xm,
-                                                 target_digits=10, dps=working).value)
-            if omitted > tol:
-                raise TailNotConverged(
-                    f"omitted term at k={N + 1} still {mp.nstr(omitted, 3)} > {mp.nstr(tol, 3)}")
-        arg = xm * (1 + lam_m) ** (mp.mpf(1) / 3)
-        rhs = humbert_J(0, 0, arg, target_digits=working - 10, dps=working).value
-        return lhs, rhs, abs(lhs - rhs)

@@ -20,11 +20,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from hyperbessel import (ClosedFormCase, closed_form_c123, closed_form_eval, derive_params,
-                         general_c1, humbert_identity_check, level_series, reproduce_table1,
-                         reproduce_table2,
-                         reproduce_table3, reproduce_table4, riney_coeffs, series_eval,
-                         stirling_matching_coeffs)
+from hyperbessel import (ClosedFormCase, closed_form_eval, derive_params, level_series,
+                         reproduce_table1, reproduce_table2, reproduce_table3, reproduce_table4,
+                         riney_coeffs, series_eval, stirling_matching_coeffs)
+from oracles import closed_form_c123, general_c1, humbert_identity_check
 
 F = Fraction
 SEED = 20260810

@@ -400,6 +400,11 @@ def test_residual_rederives_params_too_coarse_for_the_exp_small_level():
     assert coarse._mpf_ == fine._mpf_
 
 
+def test_residual_rejects_a_negative_index():
+    with pytest.raises(ValueError):
+        residual_F(derive_params(3, ("4/3", "1/4")), 10, -1)
+
+
 def test_residual_match_improves_with_x():
     p = derive_params(3, ("5/4", "1/4"), precision=60)
     t = stirling_matching_coeffs(p, 45)

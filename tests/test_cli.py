@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
-from hyperbessel import asym, derive_params
+from hyperbessel import asym, derive_params, humbert_J, series_eval
 from hyperbessel.cli import main
 from hyperbessel.precision import DEFAULT_DPS
 
@@ -123,6 +123,44 @@ def test_eval_usage_errors(runner):
         assert runner.invoke(main, point + extra).exit_code == 2
     for env in ("abc", "10"):
         assert runner.invoke(main, point, env={"HYPERBESSEL_DPS": env}).exit_code == 2
+    # parameters that do not fit the chosen order, and a malformed range
+    for args in (["--n3", "-a", "1/3", "--x", "1"],
+                 ["--n3", "-a", "1/3", "-b", "1,2", "--x", "1"],
+                 ["--n4", "-a", "1/3", "-b", "1/4,1/2,3/4", "--x", "1"],
+                 ["--n3", "-a", "1/3", "-b", "2/3", "--x-range", "1:2"],
+                 ["--humbert", "-m", "1/2", "--x", "1"],
+                 ["--humbert", "-m", "1/2", "-n", "2/3", "-a", "1/3", "--x", "1"]):
+        assert runner.invoke(main, ["eval", *args]).exit_code == 2
+    assert runner.invoke(main, ["residual", "--n3", "-a", "4/3", "-b", "1/4",
+                                "--x", "0"]).exit_code == 2
+
+
+@pytest.mark.parametrize("order, reference", [
+    (["--n3", "-a", "1/3", "-b", "2/3"],
+     lambda: series_eval(derive_params(3, ("1/3", "2/3")), 10, target_digits=60)),
+    (["--humbert", "-m", "1/2", "-n", "2/3"],
+     lambda: humbert_J("1/2", "2/3", 10, target_digits=60)),
+], ids=["n3", "humbert"])
+def test_eval_prints_every_digit_of_a_high_target(runner, order, reference):
+    # a 60-digit target is summed at 70 digits, and all of them reach the output
+    res = runner.invoke(main, ["eval", *order, "--x", "10", "--target", "60", "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    want = reference().value
+    with mp.workdps(80):
+        got = mp.mpf(rows_of(res.stdout)[0]["value"])
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** -60
+
+
+def test_eval_text_table(runner):
+    # the default format: a header and one row per point, in padded columns
+    args = ["eval", "--n3", "-a", "1/3", "-b", "2/3", "--x-range", "2:3:1", "--method", "both"]
+    text = runner.invoke(main, args)
+    assert text.exit_code == 0
+    lines = text.stdout.splitlines()
+    assert lines[0].split() == ["x", "value", "method", "terms", "error_estimate"]
+    assert lines[0].index("value") == lines[1].index(lines[1].split()[1])
+    csv_rows = rows_of(runner.invoke(main, args + ["--format", "csv"]).stdout)
+    assert [line.split() for line in lines[1:]] == [list(r.values()) for r in csv_rows]
 
 
 def test_eval_compound_at_zero_is_a_domain_error(runner):
@@ -168,6 +206,20 @@ def test_coeffs_table1_both_engines(runner):
     with mp.workdps(50):
         assert mp.mpf(rows[7]["c_riney"]) == mp.mpf(rows[7]["c_stirling"])
         assert abs(mp.mpf(rows[7]["c_stirling"]) - mp.mpf("-9.259891510009765625")) <= mp.mpf("1e-30")
+
+
+def test_coeffs_text_summary_line(runner):
+    # in text format the cross-method discrepancy follows the table on stdout
+    res = runner.invoke(main, ["coeffs", "--n3", "-a", "2/3", "-b", "5/6", "-M", "11",
+                               "--method", "both"])
+    assert res.exit_code == 0
+    lines = res.stdout.splitlines()
+    assert lines[0].split() == ["j", "c_riney", "c_stirling"]
+    assert len(lines) == 13
+    label, value = lines[-1].split(": ")
+    assert label == "max cross-method discrepancy"
+    with mp.workdps(50):
+        assert mp.mpf(value) <= mp.mpf("1e-45")
 
 
 def test_coeffs_riney_singular_exit(runner):

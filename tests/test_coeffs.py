@@ -9,12 +9,12 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import from_rational, round_nearest
 
-from hyperbessel import (ClosedFormCase, OrderUnsupported, SingularRineyWeights,
-                         closed_form_c123, compound_eval, derive_params, general_c1,
-                         riney_coeffs, stirling_matching_coeffs)
+from hyperbessel import (ClosedFormCase, OrderUnsupported, SingularRineyWeights, compound_eval,
+                         derive_params, riney_coeffs, stirling_matching_coeffs)
 from hyperbessel import asym, coeffs
 from hyperbessel.coeffs import bernoulli_number
 from hyperbessel.verify import fixture_rows
+from oracles import closed_form_c123, general_c1
 
 F = Fraction
 

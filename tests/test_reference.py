@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from hyperbessel import (ClosedFormCase, DomainError, PrecisionInsufficient, TailNotConverged,
-                         closed_form_eval, derive_params, humbert_J, humbert_identity_check,
-                         reference, series_eval)
+from hyperbessel import (ClosedFormCase, DomainError, PrecisionInsufficient, closed_form_eval,
+                         derive_params, humbert_J, reference, series_eval)
 from hyperbessel.precision import auto_series_dps, to_fraction, to_mpf
 from hyperbessel.reference import _exp_mpf, _TermRatio
+from oracles import TailNotConverged, humbert_identity_check
 
 F = Fraction
 
@@ -158,6 +158,9 @@ def test_eval_result_diagnostics():
 def test_humbert_at_zero():
     assert humbert_J(0, 0, 0).value == 1
     assert humbert_J(1, 2, 0).value == 0
+    # at nu = -m, J_{m,-m}(0) = 1/(Gamma(m+1) Gamma(1-m)): 2/pi at m = 1/2
+    with mp.workdps(50):
+        assert abs(humbert_J("1/2", "-1/2", 0).value - 2 / mp.pi) <= mp.mpf("1e-48")
     with pytest.raises(DomainError):
         humbert_J("-1/2", "-2/3", 0)
 
