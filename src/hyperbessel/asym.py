@@ -48,12 +48,24 @@ k = n the rotations are exactly +-1 and 0.  Sums are exact and rounded once
 (``fsum``/``fdot``), and each result is rounded once to the working precision.
 
 Optimal truncation (``OPTIMAL``) cuts every sum at the least magnitude
-|c_j| x^(-j) over the table (the weight and phase are excluded from the
-magnitude, so all levels share one index).  The magnitudes oscillate, so this
-is the table's global least term, not its first local dip; at the table's
-last term it is unconfirmed, and ``level_series`` raises NoMinimumDetected.
-A fixed coefficient budget, as in the golden tables, sums the whole table
-there instead (``verify``).
+|c_j| x^(-j) (the weight and phase are excluded from the magnitude, so all
+levels share one index) of a scan over the table with two stops:
+
+* the least term: the magnitudes oscillate, so this is the scan's global
+  least term, not its first local dip; at the table's last term it is
+  unconfirmed, and ``level_series`` raises NoMinimumDetected;
+* the precision floor: the scan ends after the first run of ``FLOOR_RUN``
+  consecutive magnitudes below 10^-(dps+2) of the lead term, past which no
+  term changes a digit (Boyd, Acta Appl. Math. 56 (1999) 1-98).  A lone
+  magnitude below the floor, a c_j that vanishes to rounding noise, is
+  passed over, so it neither ends the scan nor is taken as its least term.
+
+``compound_eval`` sizes its table from the envelope Gamma(j)/(Lambda x)^j of
+the terms, Lambda = 2 sin(pi/n) the distance to the nearest pair of Borel
+singularities: its least term sits near j = Lambda x (Paris, J. Comput.
+Appl. Math. 234 (2010) 488-504), and it falls below the precision floor at
+j_floor, which at large x comes first.  A fixed coefficient budget, as in
+the golden tables, sums the whole table instead (``verify``).
 """
 
 import functools
@@ -61,12 +73,14 @@ import itertools
 import logging
 from dataclasses import replace
 from fractions import Fraction
-from math import ceil, cos, lcm, log, pi
+from math import ceil, cos, lcm, lgamma, log, pi
 
 from mpmath import mp
+from mpmath.libmp import mpf_mul, round_ceiling, round_nearest, to_int
 
 from .coeffs import stirling_matching_coeffs
-from .errors import CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported
+from .errors import (CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported,
+                     PrecisionInsufficient)
 from .params import derive_params
 from .precision import to_mpf
 from .reference import METHOD_ASYMPTOTIC, METHOD_COMPOUND, EvalResult, series_eval
@@ -88,6 +102,22 @@ OPTIMAL = "optimal"
 #: digits the shared pass carries past the working precision, so that each
 #: level's sums and prefactor are rounded once, at the end
 GUARD_DPS = 10
+
+#: the largest x the levels resolve: their exponent x cos(k pi/n) and phase
+#: x sin(k pi/n) are formed ``GUARD_DPS`` digits past the working precision,
+#: so past this their rounding alone exceeds the estimate's rounding floor
+MAX_X = 10 ** (GUARD_DPS + 1)
+
+#: the optimal cut ends after this many consecutive terms below the precision
+#: floor; one noise-level c_j (c_2 at n = 3, b = (2/3, 5/3)) does not end it
+FLOOR_RUN = 4
+
+#: the first optimal table: coefficients past the envelope's least term or
+#: floor crossing, and the fewest built.  Over the benchmark's compound
+#: requests the least term lay at most 12.5 past Lambda x, but for late
+#: interference dips, which this margin leaves out of the table
+TABLE_MARGIN = 14
+MIN_TABLE = 16
 
 
 def _weight_terms(params, k):
@@ -176,6 +206,20 @@ def _start_weight(params, k, working):
 
 
 @functools.lru_cache(maxsize=64)
+def _decade(e, working):
+    """10^e at ``working`` digits."""
+    with mp.workdps(working):
+        return mp.mpf(10) ** e
+
+
+@functools.lru_cache(maxsize=None)
+def _borel_distance(n):
+    """Lambda = 2 sin(pi/n) at 30 digits: the distance to the nearest pair of Borel singularities."""
+    with mp.workdps(30):
+        return 2 * mp.sinpi(mp.mpf(1) / n)
+
+
+@functools.lru_cache(maxsize=64)
 def _rotations(n, k, working):
     """(cos(r k pi/n), sin(r k pi/n)) for r = 0..2n-1, the angles reduced exactly mod 2."""
     angles = [to_mpf(Fraction(r * k, n) % 2, working) for r in range(2 * n)]
@@ -184,9 +228,14 @@ def _rotations(n, k, working):
 
 
 def _positive_x(x, working):
+    """x rounded to ``working`` digits; DomainError unless 0 < x, PrecisionInsufficient past ``MAX_X``."""
     xm = to_mpf(x, working)
     if xm <= 0:
         raise DomainError(f"asymptotic series require x > 0, got {xm}")
+    if xm > MAX_X:
+        raise PrecisionInsufficient(
+            f"x = {mp.nstr(xm, 5)} is past {MAX_X:.0e}, where rounding the levels' "
+            "exponent and phase alone exceeds the error estimate")
     return xm
 
 
@@ -240,15 +289,46 @@ def _term_count(truncation):
     return M
 
 
+def _optimal_cut(mags, working):
+    """The term count of the optimal truncation over the term magnitudes ``mags``.
+
+    The sum ends at the least magnitude of a scan that stops after the first
+    run of ``FLOOR_RUN`` consecutive magnitudes below 10^-(working+2) of the
+    lead term, the precision floor, that leaves a first omitted term in the
+    table.  A magnitude below the floor outside that run, a coefficient that
+    vanishes to rounding noise, is passed over.  NoMinimumDetected where the
+    least magnitude is the table's last.
+    """
+    least = min(range(len(mags)), key=mags.__getitem__)
+    with mp.workdps(working):
+        floor = mags[0] * _decade(-(working + 2), working)
+    if mags[least] < floor:
+        scanned, run = [], 0
+        for j, m in enumerate(mags):
+            run = run + 1 if m < floor else 0
+            if not run:
+                scanned.append(j)
+            elif run == FLOOR_RUN and j + 1 < len(mags):
+                scanned += range(j + 1 - FLOOR_RUN, j + 1)
+                break
+        least = min(scanned, key=mags.__getitem__)
+    if least + 1 == len(mags):
+        raise NoMinimumDetected(
+            f"term magnitudes still decreasing at the end of a {len(mags)}-coefficient table")
+    return least + 1
+
+
 def level_series(table, x, levels, truncation=OPTIMAL):
     """The sum of the named ``levels`` of ``table``'s parameter set at x.
 
     ``levels`` are names from ``LEVELS[n]``; one the order lacks raises
     OrderUnsupported.  ``truncation`` is ``"optimal"``, every level cut at
-    the least |c_j| x^(-j) over the table (NoMinimumDetected where that is
-    the table's last term), or a term count M (CoeffShortfall past the
-    table).  All sums are at ``table.params.dps`` digits, from one scan of
-    the table.  ``error_estimate`` is the largest requested level's: its
+    the least |c_j| x^(-j) over the table up to the first run of
+    ``FLOOR_RUN`` terms below 10^-(dps+2) of the lead term, passing over a
+    lone term below that floor (``_optimal_cut``; NoMinimumDetected where
+    the least term is the table's last), or a term count M (CoeffShortfall
+    past the table).  All sums are at ``table.params.dps`` digits, from one
+    scan of the table.  ``error_estimate`` is the largest requested level's: its
     first omitted term, |prefactor w| |c_M| x^(-M) (the last summed term at
     the end of the table), plus the rounding floor 10^(1-dps) |value|.
     ``max_term_magnitude`` is that level's largest summed term,
@@ -264,36 +344,53 @@ def level_series(table, x, levels, truncation=OPTIMAL):
             raise CoeffShortfall(f"requested {M} terms but the table holds {len(table)}")
     u, mags = _scan(table, xm, working)
     if truncation == OPTIMAL:
-        M = min(range(len(mags)), key=mags.__getitem__) + 1
-        if M == len(mags):
-            raise NoMinimumDetected(
-                f"term magnitudes still decreasing at the end of a {len(mags)}-coefficient table")
+        M = _optimal_cut(mags, working)
     parts = _levels(params, u, xm, M, angles)
     omitted = mags[min(M, len(mags) - 1)]
     with mp.workdps(working):
         value = mp.fsum(v for v, _ in parts)
         lead, amplitude = parts[0]
         # where the expansion terminates, c_M vanishes and only the rounding remains
-        error = amplitude * omitted + mp.mpf(10) ** (1 - working) * abs(lead)
+        error = amplitude * omitted + _decade(1 - working, working) * abs(lead)
         peak = amplitude * max(mags[:M])
     return EvalResult(value=value, method=METHOD_ASYMPTOTIC, terms_used=M,
                       max_term_magnitude=peak, error_estimate=error)
+
+
+def _first_table(params, xm):
+    """The first table of an optimal truncation at x: max(16, min(ceil(Lambda x), j_floor) + 14).
+
+    The terms follow the envelope Gamma(j)/(Lambda x)^j, Lambda = 2 sin(pi/n),
+    least near j = Lambda x; j_floor is the first j < Lambda x at which it
+    falls below 10^-(dps+2), where the precision-floor cut ends the sum.
+    Lambda x is a raw 100-bit product and its log comes from the mantissa
+    and exponent, so no x is ever turned into a float.
+    """
+    scaled = mpf_mul(_borel_distance(params.n)._mpf_, xm._mpf_, 100, round_nearest)
+    _, man, exp, _ = scaled
+    top, log_scaled = to_int(scaled, round_ceiling), log(man) + exp * log(2)
+    floor = -(params.dps + 2) * log(10)
+    j_floor = next((j for j in range(1, top) if lgamma(j) - j * log_scaled < floor), top)
+    return max(MIN_TABLE, j_floor + TABLE_MARGIN)
 
 
 def compound_eval(params, x, truncation=OPTIMAL, levels=None):
     """``level_series`` over ``levels`` (default: every level of the order), on a
     table long enough for ``truncation``.
 
-    For ``"optimal"`` the table starts at max(32, 2x + 16) coefficients and
-    grows 1.5-fold, at most twice, while its least term is its last; a term
-    count M takes M + 1 coefficients, so that the first omitted
-    term exists.  x must be positive (DomainError otherwise) and a term count
-    at least 1 (ValueError otherwise); both are checked before any
-    coefficient table is built.
+    For ``"optimal"`` the table starts at max(16, min(ceil(Lambda x), j_floor)
+    + 14) coefficients (``_first_table``: the least term near Lambda x,
+    Lambda = 2 sin(pi/n), or the precision floor at j_floor, whichever comes
+    first) and grows 1.5-fold, at most twice, while its least term is its
+    last; a term count M takes M + 1 coefficients, so that the first omitted
+    term exists.  x must be positive (DomainError otherwise) and at most
+    ``MAX_X`` (PrecisionInsufficient otherwise), and a term count at least 1
+    (ValueError otherwise); all are checked before any coefficient table is
+    built.
     """
     xm = _positive_x(x, params.dps)
     levels = LEVELS[params.n] if levels is None else levels
-    m = max(32, ceil(2.0 * float(xm)) + 16) if truncation == OPTIMAL else _term_count(truncation) + 1
+    m = _first_table(params, xm) if truncation == OPTIMAL else _term_count(truncation) + 1
     for _ in range(3):
         try:
             result = level_series(stirling_matching_coeffs(params, m), xm, levels, truncation)
@@ -309,9 +406,10 @@ def residual_dps(n, x):
     """Least parameter precision at which ``residual_F`` resolves the e^(-x) level.
 
     That level lies (1 + cos(pi/n)) x / ln 10 digits below the dominant one;
-    10 digits are kept spare.
+    10 digits are kept spare.  x must lie in the range of ``compound_eval``,
+    0 < x <= ``MAX_X`` (DomainError, PrecisionInsufficient otherwise).
     """
-    return ceil((1 + cos(pi / n)) * float(to_mpf(x, 30)) / log(10)) + 10
+    return ceil((1 + cos(pi / n)) * float(_positive_x(x, 30)) / log(10)) + 10
 
 
 def residual_F(params, x, j0):

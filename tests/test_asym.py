@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hyperbessel import (ClosedFormCase, CoeffShortfall, DomainError, NoMinimumDetected,
-                         OrderUnsupported, closed_form_eval, compound_eval,
+                         OrderUnsupported, PrecisionInsufficient, closed_form_eval, compound_eval,
                          derive_params, level_series, residual_F, series_eval,
                          stirling_matching_coeffs)
 from hyperbessel import asym, coeffs, verify
@@ -272,6 +272,79 @@ def test_compound_rejects_non_positive_x_before_building_a_table():
     assert p not in coeffs._TABLES._tables
     with pytest.raises(DomainError):
         level_series(stirling_matching_coeffs(p, 8), 0, ("dominant",))
+
+
+def test_compound_refuses_x_past_max_x_before_building_a_table():
+    # past 10^11 the levels' exponent and phase cannot be resolved; the sizing works
+    # in logs, so even an x beyond float range is refused cleanly, not overflowed
+    p = derive_params(5, ("7/12", "5/6", "13/12", "17/12"), precision=43)
+    for x in ("1e400", F(10) ** 400, 10 * asym.MAX_X):
+        with pytest.raises(PrecisionInsufficient):
+            compound_eval(p, x)
+        with pytest.raises(PrecisionInsufficient):
+            asym.residual_dps(5, x)
+    assert p not in coeffs._TABLES._tables
+
+
+#: one compound_sweep set per order, and Lambda = 2 sin(pi/n), the distance to the
+#: nearest pair of Borel singularities: the least term sits near j = Lambda x
+ENVELOPE_SETS = SWEEP_SETS[:3]
+LAMBDA = {n: 2 * math.sin(math.pi / n) for n in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("n, bs", ENVELOPE_SETS)
+def test_compound_table_is_sized_from_the_least_term_envelope(n, bs, monkeypatch):
+    # below the precision floor the first table is max(16, ceil(Lambda x) + 14)
+    # coefficients, and it holds the least term, so it is never grown
+    p = derive_params(n, bs)
+    for x in (6, 10, 16, 30, 60):
+        monkeypatch.setattr(coeffs, "_TABLES", coeffs._TableStore(1))
+        compound_eval(p, x)
+        assert len(coeffs._TABLES._tables[p]) == max(16, math.ceil(LAMBDA[n] * x) + 14), x
+
+
+def test_envelope_table_keeps_the_cut_off_a_late_interference_dip():
+    # a 45-coefficient table (2x + 16) reaches a late dip at j0 = 34, 4.5e-8 off; the
+    # envelope's 34 coefficients end before it, and the cut at j0 = 22 is 7.3e-10 off
+    p = derive_params(4, (F(5, 2), F(-1, 4), F(1, 12)))
+    x = F(2803, 200)
+    c = compound_eval(p, x)
+    s = series_eval(p, x, target_digits=50)
+    assert c.terms_used == 23
+    with mp.workdps(60):
+        err = abs(c.value - s.value)
+        assert err <= c.error_estimate
+        assert err <= mp.mpf("1e-9") * abs(s.value)
+
+
+@pytest.mark.parametrize("n, bs", ENVELOPE_SETS)
+def test_compound_cuts_at_the_precision_floor_far_out(n, bs, monkeypatch):
+    # past the floor crossing no term changes a digit: the table stays O(dps) long
+    # at any x, and the value still meets its estimate
+    p = derive_params(n, bs)
+    for x in (150, 300, 1000, 10 ** 4):
+        monkeypatch.setattr(coeffs, "_TABLES", coeffs._TableStore(1))
+        c = compound_eval(p, x)
+        assert len(coeffs._TABLES._tables[p]) <= 80, x
+        s = series_eval(p, x, target_digits=65)
+        with mp.workdps(80):
+            assert abs(c.value - s.value) <= c.error_estimate, x
+
+
+def test_a_single_noise_level_coefficient_does_not_end_the_sum():
+    # c_2 vanishes at n = 3, b = (2/3, 5/3) and comes out as rounding noise, below the
+    # precision floor at any x: it is passed over as the least term (at x = 10 a cut
+    # there leaves 2.5e-4 of the value), and alone it does not end the scan at the
+    # floor (at x = 300 the sum runs on to the floor crossing)
+    p = derive_params(3, (F(2, 3), F(5, 3)))
+    with mp.workdps(p.dps):
+        assert abs(stirling_matching_coeffs(p, 3)[2]) < mp.mpf(10) ** -(p.dps + 2)
+    for x in (10, 300):
+        c = compound_eval(p, x)
+        assert c.terms_used > asym.FLOOR_RUN + 3, x
+        s = series_eval(p, x, target_digits=65)
+        with mp.workdps(80):
+            assert abs(c.value - s.value) <= c.error_estimate, x
 
 
 def test_sign_alternation_consistency():

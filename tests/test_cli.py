@@ -172,6 +172,16 @@ def test_eval_compound_at_zero_is_a_domain_error(runner):
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def test_x_beyond_float_range_is_precision_insufficient(runner):
+    # the compound expansion and the residual's precision refuse it; neither overflows
+    for args in (["eval", "--n3", "-a", "2/3", "-b", "5/6", "--x", "1e400", "--method", "compound"],
+                 ["residual", "--n3", "-a", "4/3", "-b", "1/4", "--x", "1e400"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert "PrecisionInsufficient" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_coeffs_usage_errors(runner):
     args = ["coeffs", "--n3", "-a", "2/3", "-b", "5/6"]
     for extra in (["-M", "0"], ["-M", "x"], ["--precision", "10"]):
