@@ -31,13 +31,15 @@ field one prime of N at a time, where only the primes up to the number of
 terms need to be found.  Where w vanishes the level and its estimate
 are exactly 0, not rounding noise.
 
-Every evaluation makes one pass over the coefficient table.  The scaled
-terms u_j = c_j x^(-j) are formed once, by a running product of 1/x
-(``CoeffTable.scaled_terms``), ``GUARD_DPS`` digits past the working
-precision; their magnitudes, rounded to it, are the truncation scan, the
-peak term and the first omitted term.  Re(W e^(-i j k pi/n)) depends on j only
-through j mod 2n, so with the 2n class sums S_r = sum_{j = r mod 2n} u_j
-every level is
+Every evaluation admits x by ``precision.exact_x`` (0 < x <= ``MAX_X``),
+reads it ``GUARD_DPS`` digits past the working precision, as the exponent
+x cos(k pi/n) and phase x sin(k pi/n) need, and makes one pass over the
+coefficient table.  The scaled terms u_j = c_j x^(-j) are formed once, by a
+running product of 1/x (``CoeffTable.scaled_terms``), at those digits; their
+magnitudes, rounded to the working precision, are the truncation scan, the
+peak term and the first omitted term.  Re(W e^(-i j k pi/n)) depends on j
+only through j mod 2n, so with the 2n class sums S_r = sum_{j = r mod 2n}
+u_j every level is
 
     2 A0 x^theta e^(x cos(k pi/n)) [ Re W sum_r cos(r k pi/n) S_r + Im W sum_r sin(r k pi/n) S_r ],
 
@@ -76,13 +78,11 @@ from fractions import Fraction
 from math import ceil, cos, lcm, lgamma, log, pi
 
 from mpmath import mp
-from mpmath.libmp import mpf_mul, round_ceiling, round_nearest, to_int
 
 from .coeffs import stirling_matching_coeffs
-from .errors import (CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported,
-                     PrecisionInsufficient)
+from .errors import CoeffShortfall, DomainError, NoMinimumDetected, OrderUnsupported
 from .params import derive_params
-from .precision import to_mpf
+from .precision import exact_x, to_mpf
 from .reference import METHOD_ASYMPTOTIC, METHOD_COMPOUND, EvalResult, series_eval
 
 __all__ = ["LEVELS", "OPTIMAL", "compound_eval", "level_series", "residual_F", "residual_dps"]
@@ -102,11 +102,6 @@ OPTIMAL = "optimal"
 #: digits the shared pass carries past the working precision, so that each
 #: level's sums and prefactor are rounded once, at the end
 GUARD_DPS = 10
-
-#: the largest x the levels resolve: their exponent x cos(k pi/n) and phase
-#: x sin(k pi/n) are formed ``GUARD_DPS`` digits past the working precision,
-#: so past this their rounding alone exceeds the estimate's rounding floor
-MAX_X = 10 ** (GUARD_DPS + 1)
 
 #: the optimal cut ends after this many consecutive terms below the precision
 #: floor; one noise-level c_j (c_2 at n = 3, b = (2/3, 5/3)) does not end it
@@ -194,11 +189,13 @@ def _cyclotomic_zero(powers, order, primes):
 
 
 @functools.lru_cache(maxsize=256)
-def _start_weight(params, k, working):
-    """The complex start weight w of the level at angle k, from its exact terms; 0 where it vanishes."""
+def _start_weight(params, k):
+    """The complex start weight w of the level at angle k, from its exact terms, at
+    ``params.dps`` digits; 0 where it vanishes."""
     terms = _weight_terms(params, k)
     if _vanishes(terms):
         return mp.zero
+    working = params.dps
     with mp.workdps(working):
         if k == params.n:   # conjugate pairs (1/2, d), (1/2, -d): one cos(pi d) per pair
             return mp.mpc(mp.fsum(mp.cospi(to_mpf(q, working)) for _, q in terms[::2]))
@@ -214,9 +211,10 @@ def _decade(e, working):
 
 @functools.lru_cache(maxsize=None)
 def _borel_distance(n):
-    """Lambda = 2 sin(pi/n) at 30 digits: the distance to the nearest pair of Borel singularities."""
+    """Lambda = 2 sin(pi/n), correctly rounded to a float: the distance to the nearest
+    pair of Borel singularities."""
     with mp.workdps(30):
-        return 2 * mp.sinpi(mp.mpf(1) / n)
+        return float(2 * mp.sinpi(mp.mpf(1) / n))
 
 
 @functools.lru_cache(maxsize=64)
@@ -228,23 +226,11 @@ def _rotations(n, k, working):
 
 
 def _positive_x(x, working):
-    """x rounded to ``working`` digits; DomainError unless 0 < x, PrecisionInsufficient past ``MAX_X``."""
-    xm = to_mpf(x, working)
-    if xm <= 0:
-        raise DomainError(f"asymptotic series require x > 0, got {xm}")
-    if xm > MAX_X:
-        raise PrecisionInsufficient(
-            f"x = {mp.nstr(xm, 5)} is past {MAX_X:.0e}, where rounding the levels' "
-            "exponent and phase alone exceeds the error estimate")
-    return xm
-
-
-def _scan(table, xm, working):
-    """The one pass over ``table`` at x: the scaled terms u_j, ``GUARD_DPS``
-    digits past ``working``, and their magnitudes rounded to ``working``."""
-    u = table.scaled_terms(xm, working + GUARD_DPS)
-    with mp.workdps(working):
-        return u, [abs(v) for v in u]
+    """x admitted by ``exact_x`` at ``working`` digits, exact; DomainError unless 0 < x."""
+    xq = exact_x(x, working)
+    if xq == 0:
+        raise DomainError("asymptotic series require x > 0, got 0")
+    return xq
 
 
 def _levels(params, u, xm, M, angles):
@@ -263,7 +249,7 @@ def _levels(params, u, xm, M, angles):
         levels = []
         for k in angles:
             cos_r, sin_r = _rotations(n, k, guarded)
-            w = _start_weight(params, k, working)
+            w = _start_weight(params, k)
             pref = base * mp.exp(xm * cos_r[1])
             phase = w * mp.expj(xm * sin_r[1])
             total = mp.fdot((phase.real, phase.imag), (mp.fdot(cos_r, sums), mp.fdot(sin_r, sums)))
@@ -327,8 +313,9 @@ def level_series(table, x, levels, truncation=OPTIMAL):
     ``FLOOR_RUN`` terms below 10^-(dps+2) of the lead term, passing over a
     lone term below that floor (``_optimal_cut``; NoMinimumDetected where
     the least term is the table's last), or a term count M (CoeffShortfall
-    past the table).  All sums are at ``table.params.dps`` digits, from one
-    scan of the table.  ``error_estimate`` is the largest requested level's: its
+    past the table); DomainError unless ``precision.exact_x`` admits x > 0.
+    All sums are at ``table.params.dps`` digits, from one scan of the
+    table.  ``error_estimate`` is the largest requested level's: its
     first omitted term, |prefactor w| |c_M| x^(-M) (the last summed term at
     the end of the table), plus the rounding floor 10^(1-dps) |value|.
     ``max_term_magnitude`` is that level's largest summed term,
@@ -336,13 +323,16 @@ def level_series(table, x, levels, truncation=OPTIMAL):
     """
     params = table.params
     angles = _angles(params.n, levels)
-    working = params.dps
-    xm = _positive_x(x, working)
+    working, guarded = params.dps, params.dps + GUARD_DPS
+    xm = to_mpf(_positive_x(x, working), guarded)
     if truncation != OPTIMAL:
         M = _term_count(truncation)
         if M > len(table):
             raise CoeffShortfall(f"requested {M} terms but the table holds {len(table)}")
-    u, mags = _scan(table, xm, working)
+    # the one pass over the table: u_j at ``guarded`` digits, their magnitudes at ``working``
+    u = table.scaled_terms(xm, guarded)
+    with mp.workdps(working):
+        mags = [abs(v) for v in u]
     if truncation == OPTIMAL:
         M = _optimal_cut(mags, working)
     parts = _levels(params, u, xm, M, angles)
@@ -357,18 +347,16 @@ def level_series(table, x, levels, truncation=OPTIMAL):
                       max_term_magnitude=peak, error_estimate=error)
 
 
-def _first_table(params, xm):
+def _first_table(params, xq):
     """The first table of an optimal truncation at x: max(16, min(ceil(Lambda x), j_floor) + 14).
 
     The terms follow the envelope Gamma(j)/(Lambda x)^j, Lambda = 2 sin(pi/n),
     least near j = Lambda x; j_floor is the first j < Lambda x at which it
     falls below 10^-(dps+2), where the precision-floor cut ends the sum.
-    Lambda x is a raw 100-bit product and its log comes from the mantissa
-    and exponent, so no x is ever turned into a float.
+    The exact x is admitted, so x <= ``MAX_X`` and Lambda x is a float.
     """
-    scaled = mpf_mul(_borel_distance(params.n)._mpf_, xm._mpf_, 100, round_nearest)
-    _, man, exp, _ = scaled
-    top, log_scaled = to_int(scaled, round_ceiling), log(man) + exp * log(2)
+    scaled = _borel_distance(params.n) * float(xq)
+    top, log_scaled = ceil(scaled), log(scaled)
     floor = -(params.dps + 2) * log(10)
     j_floor = next((j for j in range(1, top) if lgamma(j) - j * log_scaled < floor), top)
     return max(MIN_TABLE, j_floor + TABLE_MARGIN)
@@ -383,21 +371,23 @@ def compound_eval(params, x, truncation=OPTIMAL, levels=None):
     Lambda = 2 sin(pi/n), or the precision floor at j_floor, whichever comes
     first) and grows 1.5-fold, at most twice, while its least term is its
     last; a term count M takes M + 1 coefficients, so that the first omitted
-    term exists.  x must be positive (DomainError otherwise) and at most
+    term exists.  x is admitted by ``precision.exact_x`` at ``params.dps``
+    digits and must be positive (DomainError otherwise) and at most
     ``MAX_X`` (PrecisionInsufficient otherwise), and a term count at least 1
     (ValueError otherwise); all are checked before any coefficient table is
-    built.
+    built.  The exact x goes to ``level_series``, whose levels read it to
+    ``GUARD_DPS`` digits past ``params.dps``.
     """
-    xm = _positive_x(x, params.dps)
+    xq = _positive_x(x, params.dps)
     levels = LEVELS[params.n] if levels is None else levels
-    m = _first_table(params, xm) if truncation == OPTIMAL else _term_count(truncation) + 1
+    m = _first_table(params, xq) if truncation == OPTIMAL else _term_count(truncation) + 1
     for _ in range(3):
         try:
-            result = level_series(stirling_matching_coeffs(params, m), xm, levels, truncation)
+            result = level_series(stirling_matching_coeffs(params, m), xq, levels, truncation)
             return replace(result, method=METHOD_COMPOUND)
         except NoMinimumDetected:
             logger.debug("compound table: no least term within %d coefficients at x = %s, "
-                         "growing to %d", m, xm, ceil(m * 1.5))
+                         "growing to %d", m, xq, ceil(m * 1.5))
             m = ceil(m * 1.5)
     raise NoMinimumDetected(f"no confirmed least term within {m} coefficients")
 
@@ -406,8 +396,9 @@ def residual_dps(n, x):
     """Least parameter precision at which ``residual_F`` resolves the e^(-x) level.
 
     That level lies (1 + cos(pi/n)) x / ln 10 digits below the dominant one;
-    10 digits are kept spare.  x must lie in the range of ``compound_eval``,
-    0 < x <= ``MAX_X`` (DomainError, PrecisionInsufficient otherwise).
+    10 digits are kept spare.  x is admitted as by ``compound_eval``, a float
+    or mpf x read at 30 digits: 0 < x <= ``MAX_X`` (DomainError,
+    PrecisionInsufficient otherwise).
     """
     return ceil((1 + cos(pi / n)) * float(_positive_x(x, 30)) / log(10)) + 10
 

@@ -65,13 +65,12 @@ class CoeffTable:
     def __getitem__(self, j):
         return self.c[j]
 
-    def scaled_terms(self, x, dps=None):
+    def scaled_terms(self, x, dps):
         """u_j = c_j x^(-j) for every tabulated j, each rounded once to ``dps`` digits.
 
         x^(-j) is a running product of 1/x carried with enough guard bits that
         its accumulated rounding stays far below the last digit of u_j.
         """
-        dps = dps or self.params.dps
         with mp.workdps(dps):
             prec = mp.prec
             xm = to_mpf(x, dps)

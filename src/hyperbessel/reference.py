@@ -30,7 +30,7 @@ from mpmath import libmp, mp
 
 from .errors import DomainError, PrecisionInsufficient
 from .params import derive_params
-from .precision import DEFAULT_DPS, auto_series_dps, check_dps, to_fraction, to_mpf
+from .precision import DEFAULT_DPS, auto_series_dps, check_dps, exact_x, to_fraction, to_mpf
 
 logger = logging.getLogger(__name__)
 
@@ -72,14 +72,6 @@ class EvalResult:
         if self.value == 0 or self.max_term_magnitude == 0:
             return mp.mpf(0)
         return mp.log10(abs(self.max_term_magnitude) / abs(self.value))
-
-
-def _exact_argument(x, working):
-    """x as a Fraction: exact for int, Fraction and str; other numbers are
-    first rounded to the working precision (an mpf is then an exact dyadic)."""
-    if isinstance(x, (int, Fraction, str)):
-        return to_fraction(x)
-    return to_fraction(to_mpf(x, working))
 
 
 class _TermRatio:
@@ -197,12 +189,12 @@ def series_eval(params, x, target_digits=20, dps=None):
     the tail bound 2|t_N| plus 10^(1-dps) |value|.  ``max_term_magnitude``
     is the peak |t_k| of the summed terms to float accuracy, from the float
     logs.  Raises PrecisionInsufficient when that rounding cannot certify
-    the target.
+    the target, and DomainError or PrecisionInsufficient where
+    ``precision.exact_x`` refuses x (a float or mpf x is read at the
+    working precision).
     """
     working = check_dps(dps) if dps is not None else auto_series_dps(target_digits)
-    xq = _exact_argument(x, working)
-    if xq < 0:
-        raise DomainError(f"x must be non-negative, got {xq}")
+    xq = exact_x(x, working)
     n, b_list = params.n, params.b_list
     ratio = _TermRatio(n, b_list, xq)
     if ratio.a == 0:
@@ -254,13 +246,11 @@ class ClosedFormCase(enum.Enum):
 def closed_form_eval(case, x, precision=None):
     """Exact elementary formula for the four special parameter sets.
 
-    N3_FOUR_FIVE_THIRDS carries an x^(-2) prefactor and requires x > 0.
+    x is admitted by ``precision.exact_x``; N3_FOUR_FIVE_THIRDS requires x > 0.
     """
     dps = check_dps(precision) if precision is not None else DEFAULT_DPS
     with mp.workdps(dps):
-        xm = to_mpf(x, dps)
-        if xm < 0:
-            raise DomainError(f"x must be non-negative, got {xm}")
+        xm = to_mpf(exact_x(x, dps), dps)
         if case is ClosedFormCase.N3_THIRDS:
             value = 3 ** mp.mpf("-0.5") / (2 * mp.pi) * (
                 2 * mp.exp(xm / 2) * mp.cos(mp.sqrt(3) / 2 * xm) + mp.exp(-xm))
@@ -301,13 +291,14 @@ def humbert_rescale(result, m, nu, x, dps):
     """``result``, an evaluation of F_3(x; m+1, nu+1), as J_{m,nu}(x): value, peak
     term and error estimate times (x/3)^(m+nu), at ``dps`` digits.
 
-    Raises DomainError at x = 0 when m + nu < 0, where the factor has a pole.
+    x is admitted by ``precision.exact_x``.  Raises DomainError at x = 0 when
+    m + nu < 0, where the factor has a pole.
     """
     power = to_fraction(m) + to_fraction(nu)
     if power == 0:
         return result
     with mp.workdps(dps):
-        xm = to_mpf(x, dps)
+        xm = to_mpf(exact_x(x, dps), dps)
         if xm == 0 and power < 0:
             raise DomainError("x = 0 requires m + nu >= 0")
         factor = (xm / 3) ** to_mpf(power, dps)

@@ -14,7 +14,7 @@ from hyperbessel import (ClosedFormCase, CoeffShortfall, DomainError, NoMinimumD
                          derive_params, level_series, residual_F, series_eval,
                          stirling_matching_coeffs)
 from hyperbessel import asym, coeffs, verify
-from hyperbessel.precision import to_mpf
+from hyperbessel.precision import MAX_X, to_mpf
 
 F = Fraction
 
@@ -103,10 +103,10 @@ def test_subdominant_vanishes_on_a_rotated_cube_root_triple():
 def test_intermediate_never_vanishes_on_two_antipodal_pairs():
     # the n = 5 intermediate weight is the unit phase e^(3 i pi theta/5), also where
     # the b's form two antipodal pairs (e^(2 i pi b_r) summing to 0)
-    p = derive_params(5, ("1/4", "3/4", "1/3", "5/6"))
+    p = derive_params(5, ("1/4", "3/4", "1/3", "5/6"), precision=60)
     t = stirling_matching_coeffs(p, 30)
     with mp.workdps(60):
-        w = asym._start_weight(p, 3, 60)
+        w = asym._start_weight(p, 3)
         assert abs(w - mp.expjpi(to_mpf(3 * p.theta / 5, 60))) <= mp.mpf("1e-58")
     for M in (1, 20):
         inter = level_series(t, 12, ("intermediate",), M)
@@ -141,7 +141,7 @@ def test_start_weight_is_exactly_zero_where_it_vanishes_on_the_twelfths(n):
             for shift in (0, 1):
                 p = derive_params(n, tuple(F(k, 12) + shift * i for i, k in enumerate(ks)), 60)
                 for k in asym.LEVELS[n].values():
-                    vanishes = asym._start_weight(p, k, 60) == 0
+                    vanishes = asym._start_weight(p, k) == 0
                     assert vanishes == (abs(_closed_form_weight(p, k, 60)) < mp.mpf("1e-50")), \
                         (p.b_list, k)
                     found[k] += vanishes
@@ -216,7 +216,7 @@ def test_start_weight_off_the_grid_is_never_zero_and_stays_cheap(monkeypatch):
             seconds = []
             for _ in range(3):
                 steps[0], start = 0, time.perf_counter()
-                w = asym._start_weight.__wrapped__(p, k, p.dps)
+                w = asym._start_weight.__wrapped__(p, k)
                 seconds.append(time.perf_counter() - start)
             assert w != 0, (p.b_list, k)
             assert steps[0] <= len(terms) * (small + 1), (p.b_list, k, steps[0])
@@ -278,7 +278,7 @@ def test_compound_refuses_x_past_max_x_before_building_a_table():
     # past 10^11 the levels' exponent and phase cannot be resolved; the sizing works
     # in logs, so even an x beyond float range is refused cleanly, not overflowed
     p = derive_params(5, ("7/12", "5/6", "13/12", "17/12"), precision=43)
-    for x in ("1e400", F(10) ** 400, 10 * asym.MAX_X):
+    for x in ("1e400", F(10) ** 400, 10 * MAX_X):
         with pytest.raises(PrecisionInsufficient):
             compound_eval(p, x)
         with pytest.raises(PrecisionInsufficient):
@@ -315,6 +315,33 @@ def test_envelope_table_keeps_the_cut_off_a_late_interference_dip():
         err = abs(c.value - s.value)
         assert err <= c.error_estimate
         assert err <= mp.mpf("1e-9") * abs(s.value)
+
+
+def test_compound_grows_its_table_while_the_least_term_is_its_last(monkeypatch):
+    # at large b the envelope's 29 coefficients still fall at their end: the table
+    # grows 1.5-fold to 44, whose least term is the 29th
+    monkeypatch.setattr(coeffs, "_TABLES", coeffs._TableStore(1))
+    p = derive_params(4, (F(17, 3), F(173, 12), F(155, 12)))
+    x = F(10043, 1000)
+    assert asym._first_table(p, x) == 29
+    c = compound_eval(p, x)
+    assert len(coeffs._TABLES._tables[p]) == 44
+    assert c.terms_used == 29
+    s = series_eval(p, x, target_digits=40)
+    with mp.workdps(60):
+        assert abs(c.value - s.value) <= c.error_estimate
+
+
+@pytest.mark.parametrize("n, bs", ENVELOPE_SETS)
+def test_compound_meets_its_estimate_at_a_non_dyadic_x_far_out(n, bs):
+    # the levels read x 10 digits past the working precision: rounded to the 50
+    # working digits, x = 1000.1 alone puts n = 3 off by 31 estimates
+    p = derive_params(n, bs)
+    for x in ("1000.1", "3000.001"):
+        c = compound_eval(p, x)
+        s = series_eval(p, x, target_digits=65)
+        with mp.workdps(80):
+            assert abs(c.value - s.value) <= c.error_estimate, x
 
 
 @pytest.mark.parametrize("n, bs", ENVELOPE_SETS)
@@ -680,7 +707,7 @@ ONE_PASS_M = (1, 2, 5, 6, 10, 11, 17, 31, 44, 60)
 def _term_by_term(p, t, x, M, k, dps):
     """sum_j c_j Re(w e^(i x sin(k pi/n)) (e^(-i k pi/n)/x)^j), prefactor included,
     one complex power per term at ``dps`` digits, with the evaluator's start weight w."""
-    w = asym._start_weight(p, k, p.dps)
+    w = asym._start_weight(p, k)
     with mp.workdps(dps):
         xm = to_mpf(x, dps)
         angle = mp.mpf(k) / p.n

@@ -173,8 +173,9 @@ def test_eval_compound_at_zero_is_a_domain_error(runner):
 
 
 def test_x_beyond_float_range_is_precision_insufficient(runner):
-    # the compound expansion and the residual's precision refuse it; neither overflows
-    for args in (["eval", "--n3", "-a", "2/3", "-b", "5/6", "--x", "1e400", "--method", "compound"],
+    # every method and the residual's precision refuse it; none overflows
+    evaluate = ["eval", "--n3", "-a", "2/3", "-b", "5/6", "--x", "1e400"]
+    for args in (evaluate, evaluate + ["--method", "both"], evaluate + ["--method", "compound"],
                  ["residual", "--n3", "-a", "4/3", "-b", "1/4", "--x", "1e400"]):
         res = runner.invoke(main, args)
         assert res.exit_code == 1

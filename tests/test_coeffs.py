@@ -339,7 +339,7 @@ def test_coeff_table_metadata(table1_params, table1_stirling, table1_riney):
     assert table1_riney.method == "riney"
     assert table1_stirling.params == table1_riney.params == table1_params
     assert table1_stirling[0] == 1
-    u = table1_stirling.scaled_terms(10)
+    u = table1_stirling.scaled_terms(10, 50)
     with mp.workdps(50):
         assert abs(u[2] - table1_stirling[2] / 100) <= mp.mpf("1e-45")
 
